@@ -222,6 +222,35 @@ func BenchmarkFig1PhaseTrace(b *testing.B) {
 	b.ReportMetric(float64(rounds), "rounds")
 }
 
+// BenchmarkGlobalBroadcastStrip measures a whole global broadcast along a
+// long strip: O(D) phases, each running labelings and radius reductions
+// over a small newly-awake set. Per-phase work that scales with n instead
+// of the awake set shows up here in ns/op and B/op; the n=500 row backs the
+// bench_check small-n tier.
+func BenchmarkGlobalBroadcastStrip(b *testing.B) {
+	const n = 500
+	pts := ConnectedStrip(n, 0.15*n, 1, 0.7, 2)
+	net, err := NewNetwork(pts, WithEngine(EngineDense))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		var rounds int64
+		for i := 0; i < b.N; i++ {
+			res, err := net.Run(context.Background(), GlobalBroadcast(0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if c := res.Broadcast.Coverage(); c != 1 {
+				b.Fatalf("coverage %.4f", c)
+			}
+			rounds = res.Stats.Rounds
+		}
+		b.ReportMetric(float64(rounds), "rounds")
+	})
+}
+
 // BenchmarkFig2Proximity measures one proximity-graph construction (E4).
 func BenchmarkFig2Proximity(b *testing.B) {
 	pts := UniformDisk(60, 2.2, 17)

@@ -113,10 +113,11 @@ func Global(env *sim.Env, in GlobalInput) (*GlobalResult, error) {
 	}
 	// Sources themselves belong to L1: they too must locally broadcast.
 	level = append(level, in.Sources...)
+	awake := countAwake(res) // kept current per phase: each wakes exactly next
 
 	for phase := 1; phase <= in.MaxPhases && len(level) > 0; phase++ {
 		phaseStart := env.Rounds()
-		awakeBefore := countAwake(res)
+		awakeBefore := awake
 
 		// Stage 1: imperfect labeling of L_i.
 		label, err := labelClustered(env, in.Cfg, level, asg, in.Delta)
@@ -130,6 +131,7 @@ func Global(env *sim.Env, in GlobalInput) (*GlobalResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		awake += len(next)
 
 		// Stage 3: radius reduction on the newly awakened set.
 		clusters := 0

@@ -83,7 +83,8 @@ func labelClustered(env *sim.Env, cfg config.Config, nodes []int, asg *core.Assi
 	if err != nil {
 		return nil, err
 	}
-	st := sparsify.NewState(env.F.N())
+	st := sparsify.AcquireState(env)
+	defer sparsify.ReleaseState(env, st)
 	if gamma > len(nodes) {
 		gamma = len(nodes)
 	}

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"math/bits"
 	"slices"
 
 	"dcluster/internal/selectors"
@@ -22,20 +23,28 @@ const eventCacheBudget = 2 << 20
 // construction. An EventLists belongs to one execution (selectors are
 // stateless, but the cache is not goroutine-safe).
 type EventLists struct {
-	sel  selectors.PairSelector
-	rows selectors.RowSelector // non-nil when sel offers prepared rows
-	m    int
+	sel    selectors.PairSelector
+	rowSel selectors.RowSelector // non-nil when sel offers prepared rows
+	rows   []selectors.Row       // rowSel's prepared set of every round, built on the first miss
+	m      int
 
 	lists   map[uint64][]int32 // (id, cluster) → ascending scheduled rounds
 	entries int                // total cached entries, capped by eventCacheBudget
 
 	missing []int32 // cache-miss sender positions (scratch)
+
+	// Per-round bucketing scratch for the prepare step of every
+	// EventScheduler over this cache: allocated once per execution, not once
+	// per schedule. counts and busy are all zero between prepares.
+	counts []int32  // per-round transmitter counts
+	offs   []int32  // per-round bucket ends after placement
+	busy   []uint64 // bitmap of the rounds with a non-zero count
 }
 
 // NewEventLists prepares a shared schedule-list cache for one selector.
 func NewEventLists(sel selectors.PairSelector) *EventLists {
 	el := &EventLists{sel: sel, m: sel.Len(), lists: map[uint64][]int32{}}
-	el.rows, _ = sel.(selectors.RowSelector)
+	el.rowSel, _ = sel.(selectors.RowSelector)
 	return el
 }
 
@@ -67,8 +76,9 @@ func (el *EventLists) Selector() selectors.PairSelector { return el.sel }
 //     replayed — via Env.StepReplay, skipping the physical layer — whenever
 //     the same prepared pass runs again against the same listener set.
 //     Within live passes, small-transmitter-set rounds (the dominant round
-//     shape under selective schedules) hit a content-keyed reception memo
-//     that survives across passes with the same listeners.
+//     shape under selective schedules, solo rounds included) hit the
+//     environment's content-keyed reception memo (Env.StepMemo), which
+//     survives across passes with the same listeners.
 //
 // Within a round, transmitters appear in caller order — which downstream
 // float summation and tie-breaking depend on — exactly as in the naive
@@ -79,8 +89,6 @@ func (el *EventLists) Selector() selectors.PairSelector { return el.sel }
 type EventScheduler struct {
 	el *EventLists
 
-	counts []int32   // per-round transmitter counts (prepare scratch)
-	offs   []int32   // per-round bucket ends after placement (prepare scratch)
 	events []int32   // flattened per-round sender positions (prepared pass)
 	active []int32   // rounds with a non-empty bucket, ascending (prepared pass)
 	ends   []int32   // ends[k]: end of active[k]'s bucket in events (prepared pass)
@@ -213,10 +221,9 @@ func (es *EventScheduler) replay(env *sim.Env, start int64, senders []int, msgOf
 
 // ensureSchedules fills sched[j] with the ascending scheduled rounds of
 // (ids[j], clusters[j]) for every sender, from the cache where possible.
-// Missing lists are computed in one rounds-outer sweep — the per-round
-// prepared Row is shared across all new senders, so a batch of b new lists
-// costs m row preparations and m·b membership tests — and cached while the
-// budget lasts.
+// Missing lists are computed in one rounds-outer sweep over the prepared
+// rows — prepared once per cache, so a batch of b new lists costs m·b
+// membership tests — and cached while the budget lasts.
 func (el *EventLists) ensureSchedules(ids, clusters []int, sched [][]int32) {
 	miss := el.missing[:0]
 	for j := range ids {
@@ -235,9 +242,15 @@ func (el *EventLists) ensureSchedules(ids, clusters []int, sched [][]int32) {
 	// Repeated (id, cluster) pairs within the batch build independent but
 	// identical lists (the computation is deterministic); the later cache
 	// store simply overwrites.
+	if el.rowSel != nil && el.rows == nil {
+		el.rows = make([]selectors.Row, el.m)
+		for i := range el.rows {
+			el.rows[i] = el.rowSel.Row(i)
+		}
+	}
 	for i := 0; i < el.m; i++ {
 		if el.rows != nil {
-			row := el.rows.Row(i)
+			row := el.rows[i]
 			for _, j := range miss {
 				if row.ContainsPair(ids[j], clusters[j]) {
 					sched[j] = append(sched[j], int32(i))
@@ -262,24 +275,30 @@ func (el *EventLists) ensureSchedules(ids, clusters []int, sched [][]int32) {
 
 // prepare resolves the senders' schedules and buckets them by round:
 // offs[i] ends round i's bucket in events (bucket i starts at offs[i-1]).
-// Two passes over the lists keep within-round sender order identical to the
-// naive loop's (caller order), which reception arithmetic downstream
-// depends on.
+// The rounds that hold events are found through a bitmap of the m rounds,
+// so the bucketing costs O(m/64 + events) rather than a sweep of all m
+// counters. Two passes over the lists keep within-round sender order
+// identical to the naive loop's (caller order), which reception arithmetic
+// downstream depends on.
 func (es *EventScheduler) prepare(senders []int, ids, clusters []int) {
-	if es.counts == nil {
-		es.counts = make([]int32, es.el.m)
-		es.offs = make([]int32, es.el.m)
+	el := es.el
+	if el.counts == nil {
+		el.counts = make([]int32, el.m)
+		el.offs = make([]int32, el.m)
+		el.busy = make([]uint64, (el.m+63)/64)
 	}
+	counts, offs, busy := el.counts, el.offs, el.busy
 	for cap(es.sched) < len(senders) {
 		es.sched = append(es.sched[:cap(es.sched)], nil)
 	}
 	sched := es.sched[:len(senders)]
-	es.el.ensureSchedules(ids, clusters, sched)
+	el.ensureSchedules(ids, clusters, sched)
 	total := 0
 	for j := range senders {
 		total += len(sched[j])
 		for _, i := range sched[j] {
-			es.counts[i]++
+			counts[i]++
+			busy[i>>6] |= 1 << (i & 63)
 		}
 	}
 	if cap(es.events) < total {
@@ -289,19 +308,22 @@ func (es *EventScheduler) prepare(senders []int, ids, clusters []int) {
 	es.active = es.active[:0]
 	es.ends = es.ends[:0]
 	off := int32(0)
-	for i, c := range es.counts {
-		es.counts[i] = 0 // leave the counting scratch clean for the next prepare
-		es.offs[i] = off
-		if c != 0 {
-			off += c
-			es.active = append(es.active, int32(i))
+	for w, word := range busy {
+		busy[w] = 0 // leave the scratch clean for the next prepare
+		for word != 0 {
+			i := int32(w<<6 | bits.TrailingZeros64(word))
+			word &= word - 1
+			offs[i] = off
+			off += counts[i]
+			counts[i] = 0
+			es.active = append(es.active, i)
 			es.ends = append(es.ends, off)
 		}
 	}
 	for j := range senders {
 		for _, i := range sched[j] {
-			es.events[es.offs[i]] = int32(j)
-			es.offs[i]++
+			es.events[offs[i]] = int32(j)
+			offs[i]++
 		}
 	}
 	es.lastSenders = append(es.lastSenders[:0], senders...)

@@ -50,7 +50,8 @@ func Cluster(env *sim.Env, in ClusterInput) (*Assignment, error) {
 
 	// Phase A: k rounds of SparsificationU, Λ decaying by 3/4 per round
 	// (Alg. 6 lines 1–7).
-	st := sparsify.NewState(env.F.N())
+	st := sparsify.AcquireState(env)
+	defer sparsify.ReleaseState(env, st)
 	k := sparsify.CallCount(in.Gamma)
 	type callSpan struct {
 		batchStart, batchEnd int

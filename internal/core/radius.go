@@ -75,12 +75,19 @@ func ReduceRadius(env *sim.Env, in ReduceInput) (*Assignment, error) {
 	}
 
 	x := append([]int(nil), in.Nodes...)
-	// Working clustering seen by the sparsification schedules: starts as
-	// the input r-clustering; nodes keep it until re-assigned.
-	work := append([]int32(nil), in.Current.ClusterOf...)
 
 	sc := rrPool.Get().(*rrScratch)
 	defer rrPool.Put(sc)
+	// Working clustering seen by the sparsification schedules: starts as
+	// the input r-clustering; nodes keep it until re-assigned. Only entries
+	// of in.Nodes are ever read or written, so only those are initialised.
+	if n := env.F.N(); cap(sc.work) < n {
+		sc.work = make([]int32, n)
+	}
+	work := sc.work[:env.F.N()]
+	for _, v := range x {
+		work[v] = in.Current.ClusterOf[v]
+	}
 
 	var emptyIterRounds int64 = -1
 	for it := 0; it < cfg.RadiusReductionIters; it++ {
@@ -129,6 +136,7 @@ type rrScratch struct {
 	assigned flat.BoolStamp // nodes assigned this iteration
 	inX      flat.BoolStamp // membership in the remaining set x
 	d        []int          // MIS members, ascending node index
+	work     []int32        // working clustering, valid on the reduced set only
 }
 
 var rrPool = sync.Pool{New: func() any { return new(rrScratch) }}
@@ -149,7 +157,8 @@ func reduceIteration(
 	sc *rrScratch,
 ) error {
 	sc.assigned.Reset(env.F.N())
-	st := sparsify.NewState(env.F.N())
+	st := sparsify.AcquireState(env)
+	defer sparsify.ReleaseState(env, st)
 	if gamma > len(x) {
 		gamma = len(x)
 	}

@@ -17,7 +17,7 @@ import (
 // proximityConstruct wraps the unclustered Algorithm 1 invocation used by
 // the Fig2 experiment.
 func proximityConstruct(env *sim.Env, cfg config.Config, wss *selectors.WSS, active []int) (*proximity.Graph, error) {
-	return proximity.Construct(env, cfg, selectors.Lift(wss), nil, active, func(int) int32 { return 1 }, false)
+	return proximity.Construct(env, cfg, selectors.Lift(wss), nil, nil, active, func(int) int32 { return 1 }, false)
 }
 
 // Fig56 runs the single-gadget lower-bound experiment: adversarial ID

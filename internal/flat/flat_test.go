@@ -1,6 +1,7 @@
 package flat
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -100,6 +101,87 @@ func TestAdjacencyBuilderAgainstMap(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d (dedupe=%v) node %d: got %v want %v", trial, dedupe, v, got, want)
 			}
+		}
+	}
+}
+
+// TestAdjacencyReuseDisjointSources rebuilds into the same destination from
+// a disjoint set of sources: the previous build's sources must read as
+// isolated (the spans of a stale generation are invisible), and dedupe must
+// keep first-occurrence order on the reused storage.
+func TestAdjacencyReuseDisjointSources(t *testing.T) {
+	var b AdjacencyBuilder
+	var a Adjacency
+	b.Reset(8)
+	b.Add(0, 1)
+	b.Add(2, 3)
+	b.Add(0, 4)
+	b.Add(5, 0)
+	b.Build(&a, false)
+	if got := a.Neighbors(0); !reflect.DeepEqual(got, []int32{1, 4}) {
+		t.Fatalf("first build: node 0 neighbours = %v, want [1 4]", got)
+	}
+
+	b.Reset(8)
+	b.Add(6, 2)
+	b.Add(1, 7)
+	b.Add(6, 3)
+	b.Add(6, 2) // repeat: dropped, first occurrence keeps its place
+	b.Add(1, 6)
+	b.Add(6, 1)
+	b.Build(&a, true)
+	for _, v := range []int{0, 2, 5} { // sources of the first build only
+		if d := a.Degree(v); d != 0 {
+			t.Errorf("stale source %d: degree %d, want 0", v, d)
+		}
+		if ns := a.Neighbors(v); len(ns) != 0 {
+			t.Errorf("stale source %d: neighbours %v, want none", v, ns)
+		}
+		for u := 0; u < 8; u++ {
+			if e := a.EdgeIndex(v, u); e != -1 {
+				t.Errorf("stale source %d: EdgeIndex(%d, %d) = %d, want -1", v, v, u, e)
+			}
+		}
+	}
+	if got := a.Neighbors(6); !reflect.DeepEqual(got, []int32{2, 3, 1}) {
+		t.Errorf("node 6 neighbours = %v, want [2 3 1]", got)
+	}
+	if got := a.Neighbors(1); !reflect.DeepEqual(got, []int32{7, 6}) {
+		t.Errorf("node 1 neighbours = %v, want [7 6]", got)
+	}
+	if a.NumEdges() != 5 || a.N() != 8 {
+		t.Errorf("NumEdges=%d N=%d, want 5 and 8", a.NumEdges(), a.N())
+	}
+	// Edge indices address Nbr (and the callers' edge-aligned arrays).
+	for _, v := range []int{1, 6} {
+		lo, hi := a.Span(v)
+		for e := lo; e < hi; e++ {
+			if got := a.EdgeIndex(v, int(a.Nbr[e])); got != e {
+				t.Errorf("EdgeIndex(%d, %d) = %d, want %d", v, a.Nbr[e], got, e)
+			}
+		}
+	}
+}
+
+// TestAdjacencyGenerationWrap drives the span generation through its
+// wrap-around: a stale span from generation 1 must not resurface when the
+// counter comes back to 1.
+func TestAdjacencyGenerationWrap(t *testing.T) {
+	var b AdjacencyBuilder
+	var a Adjacency
+	b.Reset(4)
+	b.Add(3, 0)
+	b.Build(&a, false) // generation 1: node 3 has a span
+	a.gen = math.MaxUint32 - 1
+	for i := 0; i < 3; i++ { // MaxUint32, then wrap to 1, then 2
+		b.Reset(4)
+		b.Add(1, 2)
+		b.Build(&a, false)
+		if d := a.Degree(3); d != 0 {
+			t.Fatalf("rebuild %d (gen %d): stale node 3 has degree %d", i, a.gen, d)
+		}
+		if got := a.Neighbors(1); !reflect.DeepEqual(got, []int32{2}) {
+			t.Fatalf("rebuild %d (gen %d): node 1 neighbours = %v, want [2]", i, a.gen, got)
 		}
 	}
 }

@@ -57,12 +57,10 @@ var lbPool = sync.Pool{New: func() any { return new(lbScratch) }}
 func Run(env *sim.Env, st *sparsify.State, levels *sparsify.FullLevels) (*Result, error) {
 	n := len(st.Parent)
 	label := make([]int32, n)
-	// rangeEnd[v]: end of the subrange assigned to v's subtree; label(v) is
-	// its start. Roots initialise their own ranges locally.
-	rangeEnd := make([]int, n)
+	// A node's label is the start of the subrange assigned to its subtree;
+	// roots start their own ranges at 1.
 	for _, r := range levels.Roots(st) {
 		label[r] = 1
-		rangeEnd[r] = st.SubtreeSize[r]
 	}
 
 	sc := lbPool.Get().(*lbScratch)
@@ -159,7 +157,6 @@ func Run(env *sim.Env, st *sparsify.State, levels *sparsify.FullLevels) (*Result
 					continue
 				}
 				label[u] = d.Msg.B
-				rangeEnd[u] = int(d.Msg.C)
 			}
 		}
 	}
@@ -170,7 +167,6 @@ func Run(env *sim.Env, st *sparsify.State, levels *sparsify.FullLevels) (*Result
 			return nil, fmt.Errorf("labeling: node %d (id %d) received no label", v, env.IDs[v])
 		}
 	}
-	_ = rangeEnd
 	return &Result{Label: label}, nil
 }
 

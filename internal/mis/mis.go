@@ -223,7 +223,7 @@ func gatherNeighborValues(adj *flat.Adjacency, sc *scratch, ex Exchange, kind si
 // gather generation: the neighbour colour is meaningful where the stamp
 // matches.
 func neighborValues(adj *flat.Adjacency, sc *scratch, v int) ([]int32, []int64) {
-	lo, hi := adj.Off[v], adj.Off[v+1]
+	lo, hi := adj.Span(v)
 	return sc.viewColor[lo:hi], sc.viewStamp[lo:hi]
 }
 
@@ -333,7 +333,7 @@ func sweep(nodes []int, adj *flat.Adjacency, sc *scratch, ex Exchange, cap int) 
 				continue
 			}
 			join := true
-			lo, hi := adj.Off[v], adj.Off[v+1]
+			lo, hi := adj.Span(v)
 			for e := lo; e < hi; e++ {
 				if sc.viewStamp[e] != sc.viewGen {
 					continue // silent neighbour left the protocol earlier

@@ -111,8 +111,7 @@ func (s *Schedule) Run(env *sim.Env, senders []int, msgOf func(node int) sim.Msg
 }
 
 // scratch holds the per-construction working state, pooled across calls so
-// a construction allocates only what outlives it (the Schedule snapshot and
-// the result adjacency).
+// a construction allocates only what outlives it (the Schedule snapshot).
 type scratch struct {
 	clu flat.Int32Stamp // active node -> cluster snapshot (O(1) lookup)
 
@@ -147,11 +146,16 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // comm.EventLists): repeated constructions over the same selector — the
 // sparsification loops — then derive each node's schedule once per
 // execution instead of once per construction. nil builds a private cache.
+//
+// dst receives the graph's adjacency, overwriting it in place: callers that
+// construct repeatedly and consume each graph before the next construction
+// pass the same destination every time. nil allocates a fresh one.
 func Construct(
 	env *sim.Env,
 	cfg config.Config,
 	sched selectors.PairSelector,
 	lists *comm.EventLists,
+	dst *flat.Adjacency,
 	active []int,
 	clusterOf func(node int) int32,
 	clustered bool,
@@ -348,7 +352,9 @@ func Construct(
 		}
 	}
 
-	adj := &flat.Adjacency{}
+	if dst == nil {
+		dst = &flat.Adjacency{}
+	}
 	sc.adjB.Reset(n)
 	for _, u := range active {
 		lo, _ := sc.candS.Get(u)
@@ -359,8 +365,8 @@ func Construct(
 			}
 		}
 	}
-	sc.adjB.Build(adj, false)
-	return &Graph{Active: active, Adj: adj, Sched: s}, nil
+	sc.adjB.Build(dst, false)
+	return &Graph{Active: active, Adj: dst, Sched: s}, nil
 }
 
 // sortByID insertion-sorts a candidate span by protocol ID (spans hold at

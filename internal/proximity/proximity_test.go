@@ -43,11 +43,11 @@ func TestConstructValidation(t *testing.T) {
 	env := newEnv(t, geom.LinePath(4, 0.5))
 	cfg := config.Default()
 	sched := unclusteredSchedule(t, cfg, env.N)
-	if _, err := Construct(env, cfg, sched, nil, allNodes(4), nil, false); err == nil {
+	if _, err := Construct(env, cfg, sched, nil, nil, allNodes(4), nil, false); err == nil {
 		t.Error("nil clusterOf must be rejected")
 	}
 	var bad config.Config
-	if _, err := Construct(env, bad, sched, nil, allNodes(4), constOne, false); err == nil {
+	if _, err := Construct(env, bad, sched, nil, nil, allNodes(4), constOne, false); err == nil {
 		t.Error("invalid config must be rejected")
 	}
 }
@@ -59,7 +59,7 @@ func TestClosePairsGetEdges(t *testing.T) {
 	env := newEnv(t, pts)
 	cfg := config.Default()
 	sched := unclusteredSchedule(t, cfg, env.N)
-	g, err := Construct(env, cfg, sched, nil, allNodes(len(pts)), constOne, false)
+	g, err := Construct(env, cfg, sched, nil, nil, allNodes(len(pts)), constOne, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDegreeBoundedByKappa(t *testing.T) {
 	env := newEnv(t, pts)
 	cfg := config.Default()
 	sched := unclusteredSchedule(t, cfg, env.N)
-	g, err := Construct(env, cfg, sched, nil, allNodes(len(pts)), constOne, false)
+	g, err := Construct(env, cfg, sched, nil, nil, allNodes(len(pts)), constOne, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestGraphSymmetric(t *testing.T) {
 	env := newEnv(t, pts)
 	cfg := config.Default()
 	sched := unclusteredSchedule(t, cfg, env.N)
-	g, err := Construct(env, cfg, sched, nil, allNodes(len(pts)), constOne, false)
+	g, err := Construct(env, cfg, sched, nil, nil, allNodes(len(pts)), constOne, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestClusteredConstructionIgnoresOtherClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Construct(env, cfg, wcss, nil, allNodes(len(pts)), func(v int) int32 { return clusterOf[v] }, true)
+	g, err := Construct(env, cfg, wcss, nil, nil, allNodes(len(pts)), func(v int) int32 { return clusterOf[v] }, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestScheduleReplaySubsetPreservesEdgeExchange(t *testing.T) {
 	cfg := config.Default()
 	sched := unclusteredSchedule(t, cfg, env.N)
 	active := allNodes(len(pts))
-	g, err := Construct(env, cfg, sched, nil, active, constOne, false)
+	g, err := Construct(env, cfg, sched, nil, nil, active, constOne, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestScheduleReplaySkipsNonMembers(t *testing.T) {
 	env := newEnv(t, pts)
 	cfg := config.Default()
 	sched := unclusteredSchedule(t, cfg, env.N)
-	g, err := Construct(env, cfg, sched, nil, []int{0, 1, 2}, constOne, false)
+	g, err := Construct(env, cfg, sched, nil, nil, []int{0, 1, 2}, constOne, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestRoundsAccounting(t *testing.T) {
 	env := newEnv(t, pts)
 	cfg := config.Default()
 	sched := unclusteredSchedule(t, cfg, env.N)
-	if _, err := Construct(env, cfg, sched, nil, allNodes(len(pts)), constOne, false); err != nil {
+	if _, err := Construct(env, cfg, sched, nil, nil, allNodes(len(pts)), constOne, false); err != nil {
 		t.Fatal(err)
 	}
 	want := Rounds(sched.Len(), cfg.Kappa)
@@ -215,7 +215,7 @@ func TestIsolatedNodesNoEdges(t *testing.T) {
 	env := newEnv(t, pts)
 	cfg := config.Default()
 	sched := unclusteredSchedule(t, cfg, env.N)
-	g, err := Construct(env, cfg, sched, nil, allNodes(3), constOne, false)
+	g, err := Construct(env, cfg, sched, nil, nil, allNodes(3), constOne, false)
 	if err != nil {
 		t.Fatal(err)
 	}

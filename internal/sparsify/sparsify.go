@@ -47,6 +47,11 @@ type State struct {
 	// events caches per-selector schedule lists across the execution's
 	// proximity constructions (see comm.EventLists).
 	events map[selectors.PairSelector]*comm.EventLists
+
+	// touched lists the nodes whose Parent, SubtreeSize or Children left
+	// their initial values (possibly repeated), so a released State resets
+	// in O(touched nodes) rather than O(n).
+	touched []int32
 }
 
 // eventLists returns the execution-scoped schedule cache for sel, creating
@@ -78,6 +83,63 @@ func NewState(n int) *State {
 		st.SubtreeSize[i] = 1
 	}
 	return st
+}
+
+// statePoolKey keys an execution's free list of States in the environment's
+// derived-structure cache.
+type statePoolKey struct{}
+
+// statePool is the execution-scoped free list behind AcquireState. It is a
+// stack, so nested holders (a Clustering holding one State while each of its
+// radius reductions takes another) always get distinct States.
+type statePool struct{ free []*State }
+
+// AcquireState returns fresh bookkeeping for env's nodes — equal, field by
+// field, to NewState(n) — from the execution's free list, allocating only
+// when every pooled State is held. Pair every AcquireState with a
+// ReleaseState once nothing reads the State any more: the per-phase and
+// per-iteration sparsifications of one execution then share a few n-sized
+// States instead of allocating and initialising one each.
+func AcquireState(env *sim.Env) *State {
+	p := sharedStatePool(env)
+	if k := len(p.free); k > 0 {
+		st := p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+		return st
+	}
+	return NewState(env.F.N())
+}
+
+// ReleaseState resets st in O(touched nodes) and returns it to env's free
+// list. st must not be used afterwards.
+func ReleaseState(env *sim.Env, st *State) {
+	st.reset()
+	p := sharedStatePool(env)
+	p.free = append(p.free, st)
+}
+
+func sharedStatePool(env *sim.Env) *statePool {
+	if v, ok := env.CacheGet(statePoolKey{}); ok {
+		return v.(*statePool)
+	}
+	p := &statePool{}
+	env.CachePut(statePoolKey{}, p)
+	return p
+}
+
+// reset restores the NewState values of every touched node and drops the
+// batches and schedule caches, keeping the capacity of what is reused.
+func (st *State) reset() {
+	for _, v := range st.touched {
+		st.Parent[v] = -1
+		st.SubtreeSize[v] = 1
+		st.Children[v] = st.Children[v][:0]
+	}
+	st.touched = st.touched[:0]
+	clear(st.Batches) // drop the schedules for the collector
+	st.Batches = st.Batches[:0]
+	clear(st.events)
 }
 
 // Call configures one Sparsification execution (Alg. 2).
@@ -120,6 +182,7 @@ type scratch struct {
 	newPar flat.BoolStamp  // nodes that acquired a child this iteration
 	sends  []int           // choose-pass sender scratch
 	prnts  []int           // parents accumulated across iterations
+	adj    flat.Adjacency  // the current iteration's proximity graph
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -190,7 +253,7 @@ func iterate(
 	clusterOf func(int) int32,
 ) (bool, error) {
 	activeSet := *current
-	g, err := proximity.Construct(env, call.Cfg, call.Sched, st.eventLists(call), activeSet, clusterOf, call.Clustered)
+	g, err := proximity.Construct(env, call.Cfg, call.Sched, st.eventLists(call), &sc.adj, activeSet, clusterOf, call.Clustered)
 	if err != nil {
 		return false, fmt.Errorf("sparsify: proximity construction: %w", err)
 	}
@@ -234,7 +297,7 @@ func iterate(
 			continue
 		}
 		best := -1
-		lo := int(g.Adj.Off[v])
+		lo, _ := g.Adj.Span(v)
 		for i, u32 := range g.Adj.Neighbors(v) {
 			e := lo + i
 			if sc.yStamp[e] == sc.yGen && sc.yVal[e] == 1 {
@@ -283,6 +346,9 @@ func iterate(
 		if alreadyChild(st, p, child) {
 			continue
 		}
+		if len(st.Children[p]) == 0 {
+			st.touched = append(st.touched, int32(p))
+		}
 		st.Children[p] = append(st.Children[p], ChildRef{Node: child, Size: int(d.Msg.B)})
 		st.SubtreeSize[p] += int(d.Msg.B)
 		if !sc.newPar.Has(p) {
@@ -300,6 +366,7 @@ func iterate(
 		p, isChild := sc.parent.Get(v)
 		switch {
 		case isChild && alreadyChild(st, int(p), v):
+			st.touched = append(st.touched, int32(v))
 			st.Parent[v] = int(p)
 			batchChildren = append(batchChildren, v)
 		case sc.newPar.Has(v):

@@ -1,6 +1,7 @@
 package sparsify
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -364,4 +365,91 @@ func TestDensityPerClusterNeverBelowOne(t *testing.T) {
 		}
 	}
 	_ = analysis.MaxClusterSize // keep analysis linked for symmetry with other tests
+}
+
+// checkFresh asserts that st equals NewState(n) field by field (nil and
+// empty per-node child lists count as equal).
+func checkFresh(t *testing.T, st *State, n int) {
+	t.Helper()
+	want := NewState(n)
+	if !slices.Equal(st.Parent, want.Parent) {
+		t.Errorf("Parent = %v, want %v", st.Parent, want.Parent)
+	}
+	if !slices.Equal(st.SubtreeSize, want.SubtreeSize) {
+		t.Errorf("SubtreeSize = %v, want %v", st.SubtreeSize, want.SubtreeSize)
+	}
+	if len(st.Children) != n {
+		t.Errorf("len(Children) = %d, want %d", len(st.Children), n)
+	}
+	for v, cs := range st.Children {
+		if len(cs) != 0 {
+			t.Errorf("Children[%d] = %v, want none", v, cs)
+		}
+	}
+	if len(st.Batches) != 0 || len(st.events) != 0 || len(st.touched) != 0 {
+		t.Errorf("batches=%d events=%d touched=%d, want all 0", len(st.Batches), len(st.events), len(st.touched))
+	}
+}
+
+// TestStateFreeList pins the execution-scoped State free list: a released
+// State comes back equal to NewState(n), nested holders never share a State,
+// and a reused State reproduces a fresh State's sparsification exactly.
+func TestStateFreeList(t *testing.T) {
+	pts, cl := clumps(3, 12, 0.3)
+	n := len(pts)
+	env := newEnv(t, pts)
+	cfg := config.Default()
+
+	outer := AcquireState(env)
+	checkFresh(t, outer, n)
+	if _, err := RunU(env, outer, allNodes(n), unclusteredCall(t, cfg, env, 12)); err != nil {
+		t.Fatal(err)
+	}
+	inner := AcquireState(env) // nested: the outer State is still held
+	if inner == outer {
+		t.Fatal("nested AcquireState returned the held State")
+	}
+	if _, err := Full(env, inner, allNodes(n), clusteredCall(t, cfg, env, cl, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if len(outer.touched) == 0 || len(inner.touched) == 0 {
+		t.Fatal("sparsification touched no node; the test exercises nothing")
+	}
+	ReleaseState(env, inner)
+	ReleaseState(env, outer)
+
+	a := AcquireState(env)
+	b := AcquireState(env)
+	c := AcquireState(env)
+	if a == b || a == c || b == c {
+		t.Fatal("nested AcquireState returned one State twice")
+	}
+	if (a != outer && a != inner) || (b != outer && b != inner) {
+		t.Error("released States were not reused")
+	}
+	for _, st := range []*State{a, b, c} {
+		checkFresh(t, st, n)
+	}
+
+	// A reused State must give exactly what a fresh one gives.
+	call := clusteredCall(t, cfg, env, cl, 12)
+	got, err := Run(env, a, allNodes(n), call)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env2 := newEnv(t, pts)
+	fresh := NewState(n)
+	want, err := Run(env2, fresh, allNodes(n), clusteredCall(t, cfg, env2, cl, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Survivors, want.Survivors) || !slices.Equal(a.Parent, fresh.Parent) ||
+		!slices.Equal(a.SubtreeSize, fresh.SubtreeSize) || len(a.Batches) != len(fresh.Batches) {
+		t.Error("reused State diverged from a fresh one")
+	}
+	for v := range fresh.Children {
+		if !slices.Equal(a.Children[v], fresh.Children[v]) {
+			t.Errorf("Children[%d] = %v, want %v", v, a.Children[v], fresh.Children[v])
+		}
+	}
 }

@@ -163,11 +163,17 @@ func TestConcurrentMixedTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Global broadcast runs the most proximity constructions per run, each
+	// writing its graph into pooled sparsification scratch.
+	wantG, err := net.Run(context.Background(), GlobalBroadcast(0))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
-	errCh := make(chan error, 8)
+	errCh := make(chan error, 12)
 	for w := 0; w < 4; w++ {
-		wg.Add(2)
+		wg.Add(3)
 		go func() {
 			defer wg.Done()
 			res, err := net.Run(context.Background(), Clustering())
@@ -188,6 +194,17 @@ func TestConcurrentMixedTasks(t *testing.T) {
 			}
 			if !reflect.DeepEqual(wantL.Local, res.Local) {
 				errCh <- errors.New("local broadcast diverged under mixed concurrency")
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			res, err := net.Run(context.Background(), GlobalBroadcast(0))
+			if err != nil {
+				errCh <- err
+				return
+			}
+			if !reflect.DeepEqual(wantG.Broadcast, res.Broadcast) {
+				errCh <- errors.New("global broadcast diverged under mixed concurrency")
 			}
 		}()
 	}

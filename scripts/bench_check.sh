@@ -9,7 +9,8 @@
 # BenchmarkRunOverhead) at
 # -benchtime=20x -count=3, plus the small-n algorithm-layer tier
 # (BenchmarkClustering at n∈{48,256}, BenchmarkTable1/ours at n∈{48,256},
-# BenchmarkAlgorithmSteadyState) at -benchtime=5x -count=3, takes the
+# BenchmarkGlobalBroadcastStrip at n=500, BenchmarkAlgorithmSteadyState) at
+# -benchtime=5x -count=3, takes the
 # per-benchmark minimum (the noise on a
 # shared runner is one-sided), and compares each ns_per_op against a
 # baseline in the benchstat manner (per-benchmark ratio against a fixed
@@ -33,10 +34,11 @@ set -euo pipefail
 gate_pkgs=". ./internal/sinr/"
 gate_regex='^(BenchmarkDeliver|BenchmarkDeliverDense|BenchmarkRunOverhead)$'
 # Small-n algorithm-layer tier (root package only): end-to-end clustering and
-# local broadcast at n∈{48,256} plus the warmed-pass allocation gate. The
-# second regex element constrains BenchmarkTable1 to its ours/ rows (the
-# baselines are not gated).
-smalln_regex='^BenchmarkClustering$|^BenchmarkAlgorithmSteadyState$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$'
+# local broadcast at n∈{48,256}, global broadcast along a strip at n=500 (its
+# many small per-phase constructions expose per-phase work that scales with
+# n), plus the warmed-pass allocation gate. The second regex element
+# constrains BenchmarkTable1 to its ours/ rows (the baselines are not gated).
+smalln_regex='^BenchmarkClustering$|^BenchmarkAlgorithmSteadyState$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$'
 
 mode="file"
 if [ "${1:-}" = "--git" ]; then
