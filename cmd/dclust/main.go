@@ -16,7 +16,7 @@
 // -radius to override. -engine selects the physical-layer engine: dense
 // (8·n² gain matrix, fastest at small n), sparse (grid-bucketed, linear
 // memory, parallel delivery — required beyond a few thousand nodes), or
-// auto (dense below 3072 nodes, sparse above).
+// auto (dense below 2048 nodes, sparse above).
 //
 // Long runs can be bounded: -timeout aborts via context cancellation,
 // -max-rounds imposes a deterministic round budget (both report the partial

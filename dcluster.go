@@ -23,7 +23,7 @@
 //     listeners: linear memory, scales to 100k+ nodes.
 //
 // Both produce identical reception sets; EngineAuto (the default) picks
-// dense below SparseAutoThreshold (3072) nodes and sparse above.
+// dense below SparseAutoThreshold (2048) nodes and sparse above.
 //
 // # Execution model
 //
@@ -131,17 +131,15 @@ const (
 
 // SparseAutoThreshold is the node count at which EngineAuto switches from
 // the dense gain-matrix engine to the sparse grid engine. Retuned after the
-// sparse engine's accumulating dense-round path and its quick certain-no /
-// certain-yes tiers landed (BenchmarkDeliver, constant-density disks,
-// min of 3): dense still wins full rounds at n = 2048 (0.75 ms vs 1.03 ms
-// per round), sparse now wins from n = 4096 (2.7 ms vs 3.1 ms, and 7.7 ms
-// vs 13.2 ms at 8192), so the crossover dropped from 5120 to ~3k.
-// End-to-end clustering agrees: dense 9.1 s vs sparse 12.3 s at n = 2048,
-// sparse 34.7 s vs dense 36.4 s at n = 4096, identical outputs. In the
-// small-|txs| regimes the protocols mostly generate, both engines enumerate
-// candidate listeners from the transmitters' grid cells and stay within
-// ~20% of each other at every measured n.
-const SparseAutoThreshold = 3072
+// sparse engine's small rounds (up to 48 transmitters) moved to a direct
+// scan certified in the squared-distance domain. End-to-end clustering
+// (dclust -algo cluster, 2 vCPUs, interleaved runs, identical outputs):
+// dense 2.5–2.9 s vs sparse 3.6–3.8 s at n = 1024, a tie at n = 1536
+// (6.7–6.9 s both), sparse 9.5–10.4 s vs dense 11.4–12.4 s at n = 2048
+// (the sparse engine took 12.3 s there before the change), and sparse
+// 35–39 s vs dense 59–82 s at n = 4096. The crossover dropped from ~3k to
+// ~1.5–2k nodes.
+const SparseAutoThreshold = 2048
 
 // Network is a static wireless network instance: node positions, the SINR
 // engine, protocol configuration and ID assignment. All algorithm entry

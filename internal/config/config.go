@@ -8,8 +8,8 @@ package config
 
 import (
 	"fmt"
-	"math"
 
+	"dcluster/internal/geom"
 	"dcluster/internal/sinr"
 )
 
@@ -85,17 +85,10 @@ func Theoretical(p sinr.Params) Config {
 	c.SSFFactor = 2
 	c.WSSFactor = 1
 	c.WCSSFactor = 1
-	c.SparsifyURounds = chi(5, 1-p.Eps)
-	c.RadiusReductionIters = chi(3, 1-p.Eps)
+	c.SparsifyURounds = geom.ChiUpper(5, 1-p.Eps)
+	c.RadiusReductionIters = geom.ChiUpper(3, 1-p.Eps)
 	c.MISColorFactor = 1
 	return c
-}
-
-// chi mirrors geom.ChiUpper without importing it (avoids a dependency the
-// package does not otherwise need).
-func chi(r1, r2 float64) int {
-	v := 2*r1/r2 + 1
-	return int(math.Floor(v * v))
 }
 
 // Validate reports configuration errors.

@@ -284,8 +284,7 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 					if bn > bu {
 						bu = bn
 					}
-					needQ := beta * (noise + nearQ + restLB - bu)
-					if bu < needQ && needQ-bu > certSlack*needQ {
+					if certNo(bu, beta*(noise+nearQ+restLB-bu)) {
 						s.accSender[u] = -1
 						s.accStamp[u] = epoch
 						continue
@@ -302,8 +301,7 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 					// decide chain's certain-yes exit.
 					if quickYes && !dup && mind2 < cell2 {
 						_, _, hiOut, _ := f.cellTailBounds(int32(c))
-						needY := beta * (noise + nearQ + restUB + hiOut - gb)
-						if gb >= needY && gb-needY > certSlack*needY {
+						if certYes(gb, beta*(noise+nearQ+restUB+hiOut-gb)) {
 							s.accSender[u] = vq
 							s.accStamp[u] = epoch
 							continue

@@ -1,6 +1,7 @@
 package sinr
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -138,6 +139,70 @@ func TestBoundaryFarRadiusFloorEquality(t *testing.T) {
 		}
 	}
 	sparse.pathOverride = 0
+}
+
+// TestSmallCheckMatchesExact pins the certified small-round scan to its
+// knife-edge oracle: for every listener, smallCheck must return exactly what
+// exactCheck returns. Lattices put distances exactly on the range and make
+// gains tie exactly; the two-sender geometry has SINR == β exactly, which no
+// certSlack margin can certify; uniform disks cover the ordinary mix at the
+// transmitter counts the direct path serves.
+func TestSmallCheckMatchesExact(t *testing.T) {
+	// Sender at distance 1 (gain 8), interferer at distance 2 (gain 1):
+	// 8 / (3 + 1) == β exactly, in Hypot and in squared-distance arithmetic.
+	edge := Params{Alpha: 3, Beta: 2, Noise: 3, Power: 8, Eps: 0.25}
+	rng := rand.New(rand.NewSource(13))
+	lat := latticePts(9)
+	centre := 4*9 + 4
+	type smallCase struct {
+		name   string
+		params Params
+		pts    []geom.Point
+		txs    [][]int
+	}
+	cases := []smallCase{
+		{"lattice", DefaultParams(), lat, [][]int{
+			{centre},                    // solo: the 4 lattice neighbours sit at SINR == β
+			{centre - 1, centre + 1},    // the centre hears an exact gain tie
+			{centre - 9, centre + 9, 0}, // tie plus a far interferer
+			{centre - 10, centre - 8, centre + 8, centre + 10}, // diagonal four-way tie
+			pickDistinct(rng, len(lat), smallTxCutoff),
+		}},
+		{"sinr-equals-beta", edge, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(-2, 0)}, [][]int{
+			{1, 2}, {2, 1}, {1},
+		}},
+	}
+	for _, k := range []int{1, 2, smallTxCutoff} {
+		pts := geom.UniformDisk(200, 3, int64(k))
+		var sets [][]int
+		for i := 0; i < 8; i++ {
+			sets = append(sets, pickDistinct(rng, len(pts), k))
+		}
+		cases = append(cases, smallCase{fmt.Sprintf("disk/txs=%d", k), DefaultParams(), pts, sets})
+	}
+	for _, c := range cases {
+		f, err := NewSparseField(c.params, c.pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		yes := 0
+		for _, txs := range c.txs {
+			for u := range c.pts {
+				wv, wok := f.exactCheck(u, txs)
+				gv, gok := f.smallCheck(u, txs)
+				if gv != wv || gok != wok {
+					t.Fatalf("%s: txs %v listener %d: smallCheck (%d, %v) != exactCheck (%d, %v)",
+						c.name, txs, u, gv, gok, wv, wok)
+				}
+				if wok {
+					yes++
+				}
+			}
+		}
+		if yes == 0 {
+			t.Errorf("%s: no listener receives; the case exercises only denials", c.name)
+		}
+	}
 }
 
 // TestUseAccumPathDispatch pins the density-threshold dispatch: the

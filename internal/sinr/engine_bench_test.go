@@ -60,16 +60,22 @@ func BenchmarkDeliver(b *testing.B) {
 // map of the transmitter-centric path: |txs| ∈ {1, 16} exercises candidate
 // enumeration (cost scales with activity, not n), n/8 the dense
 // accumulation / grid paths. These numbers, together with BenchmarkDeliver,
-// locate the dense↔sparse crossover that SparseAutoThreshold encodes.
+// locate the dense↔sparse crossover that SparseAutoThreshold encodes. The
+// sparse-only rows at |txs| ∈ {24, 32, 48, 64} straddle smallTxCutoff, the
+// switch from the direct scan to the grid path.
 func BenchmarkDeliverTx(b *testing.B) {
 	for _, n := range []int{1024, 4096, 16384} {
 		pts, _ := benchDeployment(n)
-		for _, k := range []int{1, 16, n / 8} {
+		ks := []int{1, 16, n / 8}
+		if n >= 4096 {
+			ks = []int{1, 16, 24, 32, 48, 64, n / 8}
+		}
+		for _, k := range ks {
 			txs := make([]int, k)
 			for i := range txs {
 				txs[i] = (i * 7919) % n
 			}
-			if n <= 4096 {
+			if n <= 4096 && (k <= 16 || k == n/8) {
 				b.Run(fmt.Sprintf("dense/n=%d/txs=%d", n, k), func(b *testing.B) {
 					f, err := NewField(DefaultParams(), pts)
 					if err != nil {

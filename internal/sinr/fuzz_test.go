@@ -11,11 +11,13 @@ import (
 // Fuzz target for the reception invariant that makes the sparse engine's
 // optimizations safe to land: on arbitrary deployments and transmitter sets,
 // the dense engine (ground truth: full gain matrix, no pruning), the sparse
-// engine's per-listener grid path, its accumulating cell-blocked path, and
-// the maximally truncated exact-fallback configuration (far radius forced
-// down to the transmission range) must all deliver the identical reception
+// engine's certified direct scan of small rounds (|txs| ≤ smallTxCutoff),
+// its per-listener grid path, its accumulating cell-blocked path, and the
+// maximally truncated exact-fallback configuration (far radius forced down
+// to the transmission range) must all deliver the identical reception
 // sequence. The committed seed corpus doubles as a regression suite: the
-// seeds replay on every plain `go test` run, including CI's race tier.
+// seeds replay on every plain `go test` run, including CI's race tier
+// (seed-12 is a 250-node small round: 20 transmitters).
 func FuzzDeliverPathEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint8(30), false, uint8(0))
 	f.Add(uint64(42), uint16(200), uint8(255), false, uint8(0)) // full shout-down

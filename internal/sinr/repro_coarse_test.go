@@ -26,11 +26,12 @@ func TestCoarseGridQuickYes(t *testing.T) {
 	// Sender 0.8 away, same cell.
 	s := len(pts)
 	pts = append(pts, geom.Point{X: 42.7, Y: 42})
-	// 25 interferers in the adjacent cell (9, 10), distance 3.7 > far from u,
-	// but outside the p±far scan box (box starts at x=41.5, cell 10).
+	// Interferers in the adjacent cell (9, 10), distance 3.7 > far from u,
+	// but outside the p±far scan box (box starts at x=41.5, cell 10); enough
+	// of them that the round takes the grid path, not the direct scan.
 	var txs []int
 	txs = append(txs, s)
-	for i := 0; i < 25; i++ {
+	for i := 0; i < smallTxCutoff; i++ {
 		txs = append(txs, len(pts))
 		pts = append(pts, geom.Point{X: 39.8, Y: 42})
 	}

@@ -15,10 +15,16 @@ import (
 const DefaultFarFactor = 2.0
 
 // smallTxCutoff: transmitter sets at or below this size are checked by a
-// direct scan (identical to the dense engine's inner loop) instead of going
-// through the spatial grid — the grid only pays off when the per-listener
-// near neighbourhood is smaller than the whole transmitter set.
-const smallTxCutoff = 24
+// direct scan of the whole set (smallCheck, certified in the squared-distance
+// domain) instead of going through the spatial grid — the grid only pays off
+// when the per-listener near neighbourhood is smaller than the whole
+// transmitter set. Measured crossover (BenchmarkDeliverTx sparse rows, each
+// |txs| forced through both paths, min of 7, 2 vCPUs), direct vs grid in ms:
+// n=4096: 0.11/0.17 at 24, 0.30/0.43 at 48, 0.49/0.52 at 64, 0.92/0.79 at 96;
+// n=16384: 0.25/0.30 at 24, 0.71/0.64 at 48, 1.39/1.16 at 96. The crossover
+// lies between 48 and 96 transmitters. cluster-disk-512-sparse agrees: median
+// run 0.94 s at a cutoff of 24, 0.87 s at 32, 0.86 s at 48, 0.89 s at 64.
+const smallTxCutoff = 48
 
 // parallelCutoff is the minimum number of listeners before Deliver fans out
 // to the worker pool; below it the goroutine overhead exceeds the work.
@@ -39,14 +45,21 @@ const superSide = 4
 // noise can never flip a decision relative to the dense engine.
 const certSlack = 1e-9
 
+// certNo and certYes are the margin tests of every certified decision: the
+// signal x misses, or clears, the requirement need by more than certSlack.
+func certNo(x, need float64) bool  { return x < need && need-x > certSlack*need }
+func certYes(x, need float64) bool { return x >= need && x-need > certSlack*need }
+
 // SparseField is the scalable SINR engine: it stores node positions only
-// (no n² gain matrix) and computes gains lazily through a uniform spatial
-// grid. Deliver buckets the round's transmitters into grid cells, scans each
-// listener's near field (≤ FarRadius) exactly, and truncates interference
-// beyond it behind a conservative aggregate bound: a reception is granted or
-// denied on the truncated sums only when the decision clears the threshold
-// with slack under the worst-case tail; anything closer falls back to the
-// exact full scan. Decisions therefore always match the dense engine.
+// (no n² gain matrix) and computes gains lazily. Small rounds (≤
+// smallTxCutoff transmitters) scan the transmitter slice directly in the
+// squared-distance domain. Larger rounds bucket the transmitters into a
+// uniform spatial grid, scan each listener's near field (≤ FarRadius) and
+// truncate interference beyond it behind a conservative aggregate bound.
+// Either way a reception is granted or denied on the fast sums only when the
+// decision clears the threshold by the certSlack margin (under the
+// worst-case tail on the grid path); anything closer falls back to the exact
+// dense-order scan. Decisions therefore always match the dense engine.
 // Listener checks fan out over goroutine chunks bounded by 4·GOMAXPROCS,
 // reusing per-chunk result buffers across rounds.
 //
@@ -834,10 +847,10 @@ func (f *SparseField) scanCell(c int, u int, p geom.Point, far2 float64, straddl
 // checkListener decides whether listener u receives anything this round and
 // from whom. With useGrid it scans the near field (≤ far radius) through the
 // buckets and bounds the far tail; without it (small transmitter sets) it
-// performs the exact dense-equivalent scan directly.
+// scans the whole transmitter slice directly (smallCheck).
 func (f *SparseField) checkListener(u int, txs []int, useGrid bool) (int, bool) {
 	if !useGrid {
-		return f.exactCheck(u, txs)
+		return f.smallCheck(u, txs)
 	}
 	p := f.pos[u]
 	far2 := f.far * f.far
@@ -898,8 +911,7 @@ func (f *SparseField) checkListener(u int, txs []int, useGrid bool) (int, bool) 
 			bu = bn
 		}
 		lb, ub := f.cellRestBounds(f.posCell[u])
-		needQ := f.params.Beta * (f.params.Noise + a.nearTotal + lb - bu)
-		if bu < needQ && needQ-bu > certSlack*needQ {
+		if certNo(bu, f.params.Beta*(f.params.Noise+a.nearTotal+lb-bu)) {
 			return -1, false
 		}
 		// Quick certain-yes: a.best above the one-cell gain cap means the
@@ -912,8 +924,7 @@ func (f *SparseField) checkListener(u int, txs []int, useGrid bool) (int, bool) 
 		// cached hiOut. Margin rule matches the decide chain's certain-yes.
 		if f.outOK && !a.tied && a.best > f.gCell {
 			_, _, hiOut, _ := f.cellTailBounds(f.posCell[u])
-			needY := f.params.Beta * (f.params.Noise + a.nearTotal + float64(a.rejStr)*f.gFar + ub + hiOut - a.best)
-			if a.best >= needY && a.best-needY > certSlack*needY {
+			if certYes(a.best, f.params.Beta*(f.params.Noise+a.nearTotal+float64(a.rejStr)*f.gFar+ub+hiOut-a.best)) {
 				return a.bestV, true
 			}
 		}
@@ -950,8 +961,7 @@ func (f *SparseField) decide(u int, txs []int, a *scanAcc, gLoWin float64, cxlo,
 	}
 	// Certain-no with a zero tail: interference can only grow, and this
 	// needs no tail bound at all — the common exit in dense deployments.
-	needNear := beta * (noise + a.nearTotal - best)
-	if best < needNear && needNear-best > certSlack*needNear {
+	if certNo(best, beta*(noise+a.nearTotal-best)) {
 		return -1, false
 	}
 	// Fetch (or lazily compute) the cell's conservative tail bounds, then
@@ -965,13 +975,11 @@ func (f *SparseField) decide(u int, txs []int, a *scanAcc, gLoWin float64, cxlo,
 		lo += float64(a.rejStr) * gLoWin
 	}
 	// Certain-no: the true interference is at least near + lower tail.
-	needLo := beta * (noise + a.nearTotal + lo - best)
-	if best < needLo && needLo-best > certSlack*needLo {
+	if certNo(best, beta*(noise+a.nearTotal+lo-best)) {
 		return -1, false
 	}
 	// Certain-yes under the upper tail bound.
-	needFar := beta * (noise + a.nearTotal + hi - best)
-	if !a.tied && best >= needFar && best-needFar > certSlack*needFar {
+	if !a.tied && certYes(best, beta*(noise+a.nearTotal+hi-best)) {
 		return a.bestV, true
 	}
 	// Uncertain band: resolve in tiers, reusing the accumulated near sums
@@ -986,25 +994,28 @@ func (f *SparseField) decide(u int, txs []int, a *scanAcc, gLoWin float64, cxlo,
 	wylo, wyhi := max(uy-f.span, 0), min(uy+f.span, f.ny-1)
 	base := a.nearTotal + f.windowTail(u, wxlo, wxhi, wylo, wyhi, cxlo, cxhi, cylo, cyhi, far2)
 	if f.outOK {
-		needOutLo := beta * (noise + base + loOut - best)
-		if best < needOutLo && needOutLo-best > certSlack*needOutLo {
+		if certNo(best, beta*(noise+base+loOut-best)) {
 			return -1, false
 		}
-		needOutHi := beta * (noise + base + hiOut - best)
-		if !a.tied && best >= needOutHi && best-needOutHi > certSlack*needOutHi {
+		if !a.tied && certYes(best, beta*(noise+base+hiOut-best)) {
 			return a.bestV, true
 		}
 	}
 	total := base + f.outTail(u, wxlo, wxhi, wylo, wyhi)
-	need := beta * (noise + total - best)
-	if best < need && need-best > certSlack*need {
+	return f.settle(u, txs, best, total, a.bestV, a.tied)
+}
+
+// settle decides listener u from an exact (up to rounding) interference
+// total: certain no, certain yes (never on a best-gain tie), and otherwise —
+// a knife edge or an exact tie — the dense-order exactCheck.
+func (f *SparseField) settle(u int, txs []int, best, total float64, bestV int, tied bool) (int, bool) {
+	need := f.params.Beta * (f.params.Noise + total - best)
+	if certNo(best, need) {
 		return -1, false
 	}
-	if !a.tied && best >= need && best-need > certSlack*need {
-		return a.bestV, true
+	if !tied && certYes(best, need) {
+		return bestV, true
 	}
-	// Knife-edge (or an exact gain tie): decide exactly, in the dense
-	// engine's iteration order and arithmetic.
 	return f.exactCheck(u, txs)
 }
 
@@ -1295,8 +1306,7 @@ func rectRectDist2(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64) (dmin2, dmax2
 
 // gainFromDist2 is the received-power formula on a squared distance — the
 // hot-path variant that skips Hypot. Equal to gainAt(p, √d2) up to ULPs.
-// The α=3 default stays under the inlining budget; other exponents take the
-// outlined slow path.
+// Exponents other than the α=3 default take the slow path.
 func gainFromDist2(p Params, d2 float64) float64 {
 	if p.Alpha == 3 {
 		return p.Power / (d2 * math.Sqrt(d2))
@@ -1311,8 +1321,50 @@ func gainFromDist2Slow(p Params, d2 float64) float64 {
 	return gainAt(p, math.Sqrt(d2))
 }
 
-// exactCheck replicates the dense engine's per-listener loop term for term:
-// full scan over the transmitter slice in order, strict-max sender choice.
+// smallCheck is the direct scan of small rounds, certified in the
+// squared-distance domain. A distance-only pass first rules out listeners
+// with no transmitter inside the candidate ball (d² ≤ rangeQ2). Otherwise
+// the gains come from gainFromDist2 (no Hypot), summed in txs order, and
+// the decision is taken only when it clears β·(N + total − best) by the
+// certSlack margin; a knife edge or an exact gain tie goes to exactCheck.
+// The result is always exactCheck's.
+func (f *SparseField) smallCheck(u int, txs []int) (int, bool) {
+	pos, params, rangeQ2 := f.pos, f.params, f.rangeQ2
+	p := pos[u]
+	inBall := false
+	for _, v := range txs {
+		if v != u && geom.Dist2(pos[v], p) <= rangeQ2 {
+			inBall = true
+			break
+		}
+	}
+	if !inBall {
+		// Every gain is below βN(1−certSlack), hence below βN even after
+		// rounding, and the interference can only raise the requirement.
+		return -1, false
+	}
+	var total, best float64
+	bestV, tied := -1, false
+	for _, v := range txs {
+		if v == u {
+			continue
+		}
+		g := gainFromDist2(params, geom.Dist2(pos[v], p))
+		total += g
+		switch {
+		case g > best:
+			best, bestV, tied = g, v, false
+		case g == best:
+			tied = true
+		}
+	}
+	return f.settle(u, txs, best, total, bestV, tied)
+}
+
+// exactCheck is the knife-edge oracle: it replicates the dense engine's
+// per-listener loop term for term (full scan over the transmitter slice in
+// order, Hypot distances, strict-max sender choice), so every decision the
+// fast paths cannot certify is taken exactly as the dense engine takes it.
 func (f *SparseField) exactCheck(u int, txs []int) (int, bool) {
 	p := f.pos[u]
 	var total, best float64

@@ -32,14 +32,14 @@ go test -bench=. -benchtime=1x -benchmem -run='^$' ./... | tee "$raw"
 # -benchtime=20x -count=3 with the per-benchmark minimum kept, and their 1x
 # rows replaced, so the gate compares like-for-like low-noise samples.
 gated="$(mktemp)"
-{ go test -bench='^(BenchmarkDeliver|BenchmarkDeliverDense|BenchmarkRunOverhead)$' -benchtime=20x -benchmem -count=3 -run='^$' . ./internal/sinr/
+{ go test -bench='^(BenchmarkDeliver|BenchmarkDeliverTx|BenchmarkDeliverDense|BenchmarkRunOverhead)$' -benchtime=20x -benchmem -count=3 -run='^$' . ./internal/sinr/
   go test -bench='^BenchmarkClustering$|^BenchmarkAlgorithmSteadyState$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$' -benchtime=5x -benchmem -count=3 -run='^$' .
 } |
     tee /dev/stderr |
     awk '/^Benchmark/ { name = $1
          if (!(name in best) || $3 + 0 < best[name] + 0) { best[name] = $3; line[name] = $0 } }
          END { for (n in line) print line[n] }' > "$gated"
-grep -vE '^Benchmark(Deliver/|DeliverDense/|RunOverhead/|Clustering/|Table1/ours/|AlgorithmSteadyState|GlobalBroadcastStrip/)' "$raw" > "$raw.filtered"
+grep -vE '^Benchmark(Deliver/|DeliverTx/|DeliverDense/|RunOverhead/|Clustering/|Table1/ours/|AlgorithmSteadyState|GlobalBroadcastStrip/)' "$raw" > "$raw.filtered"
 cat "$raw.filtered" "$gated" > "$raw"
 rm -f "$raw.filtered" "$gated"
 

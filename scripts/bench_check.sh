@@ -5,8 +5,8 @@
 #   scripts/bench_check.sh <baseline.json> [threshold_pct]
 #   scripts/bench_check.sh --git <base-ref> [threshold_pct]
 #
-# Runs the gated benchmarks (BenchmarkDeliver, BenchmarkDeliverDense,
-# BenchmarkRunOverhead) at
+# Runs the gated benchmarks (BenchmarkDeliver, BenchmarkDeliverTx,
+# BenchmarkDeliverDense, BenchmarkRunOverhead) at
 # -benchtime=20x -count=3, plus the small-n algorithm-layer tier
 # (BenchmarkClustering at n∈{48,256}, BenchmarkTable1/ours at n∈{48,256},
 # BenchmarkGlobalBroadcastStrip at n=500, BenchmarkAlgorithmSteadyState) at
@@ -32,7 +32,9 @@
 set -euo pipefail
 
 gate_pkgs=". ./internal/sinr/"
-gate_regex='^(BenchmarkDeliver|BenchmarkDeliverDense|BenchmarkRunOverhead)$'
+# BenchmarkDeliverTx is the only gated sweep with sparse rounds at or below
+# smallTxCutoff transmitters (the certified direct scan).
+gate_regex='^(BenchmarkDeliver|BenchmarkDeliverTx|BenchmarkDeliverDense|BenchmarkRunOverhead)$'
 # Small-n algorithm-layer tier (root package only): end-to-end clustering and
 # local broadcast at n∈{48,256}, global broadcast along a strip at n=500 (its
 # many small per-phase constructions expose per-phase work that scales with
