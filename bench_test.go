@@ -456,9 +456,9 @@ func BenchmarkClustering(b *testing.B) {
 
 // BenchmarkAlgorithmSteadyState measures the steady-state per-pass cost of
 // the flattened algorithm layer: one warmed Sparse Network Schedule pass —
-// schedule lists derived, buckets prepared, receptions captured — over a
+// schedule lists derived, buckets prepared, receptions memoized — over a
 // fixed active set. After the warm-up pass, the whole pass (schedule
-// execution, reception replay, delivery accumulation) must run
+// execution, reception memo hits, delivery accumulation) must run
 // allocation-free; the allocs/op column is gated at 0 by
 // scripts/bench_check.sh (see also TestAlgorithmSteadyStateZeroAllocs).
 func BenchmarkAlgorithmSteadyState(b *testing.B) {
@@ -470,7 +470,7 @@ func BenchmarkAlgorithmSteadyState(b *testing.B) {
 	}
 	nodes := benchNodes(len(pts))
 	msg := func(v int) sim.Msg { return sim.Msg{Kind: sim.KindSNS, From: int32(env.IDs[v])} }
-	sns.Run(env, nodes, msg, nodes) // warm-up: derive schedules, capture receptions
+	sns.Run(env, nodes, msg, nodes) // warm-up: derive schedules, memoize receptions
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"reflect"
 	"testing"
 
 	"dcluster/internal/config"
@@ -130,5 +131,74 @@ func TestSNSDenseSetStillTerminates(t *testing.T) {
 	sns.Run(env, active, func(v int) sim.Msg { return sim.Msg{Kind: sim.KindSNS} }, nil)
 	if env.Rounds() != int64(sns.Len()) {
 		t.Errorf("rounds = %d, want %d", env.Rounds(), sns.Len())
+	}
+}
+
+// parity schedules every ID in round 0, even IDs in round 1 and odd IDs in
+// round 2.
+type parity struct{}
+
+func (parity) Len() int { return 3 }
+
+func (parity) ContainsPair(round, id, _ int) bool { return round == 0 || id%2 == round%2 }
+
+// countEngine counts physical-layer Deliver calls.
+type countEngine struct {
+	sinr.Engine
+	calls int
+}
+
+func (c *countEngine) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr.Reception {
+	c.calls++
+	return c.Engine.Deliver(txs, listeners, dst)
+}
+
+// TestRepeatedPassServedFromMemo pins that a repeated pass never reaches the
+// engine, however many transmitters its rounds hold, and that a different
+// pass reaches it only for the rounds no earlier pass has run.
+func TestRepeatedPassServedFromMemo(t *testing.T) {
+	const n = 80 // round 0 of a full pass has 80 transmitters
+	f, err := sinr.NewField(sinr.DefaultParams(), geom.LinePath(n, 0.7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := &countEngine{Engine: f}
+	env := sim.MustEnv(ce, nil, 0)
+	es := NewEventScheduler(parity{})
+	msg := func(v int) sim.Msg { return sim.Msg{Kind: sim.KindSNS, From: int32(env.IDs[v])} }
+	pass := func(senders []int) []sim.Delivery {
+		ids := make([]int, len(senders))
+		for j, v := range senders {
+			ids[j] = env.IDs[v]
+		}
+		var out []sim.Delivery
+		es.Pass(env, senders, ids, make([]int, len(senders)), msg, nil, func(_ int, ds []sim.Delivery) {
+			out = append(out, ds...)
+		})
+		return out
+	}
+
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	first := pass(all)
+	if ce.calls != 3 {
+		t.Fatalf("first pass made %d Deliver calls, want 3", ce.calls)
+	}
+	if second := pass(all); !reflect.DeepEqual(second, first) || ce.calls != 3 {
+		t.Errorf("repeated pass: %d new Deliver calls (want 0), identical deliveries %v",
+			ce.calls-3, reflect.DeepEqual(second, first))
+	}
+
+	// Even IDs (odd nodes) plus node 0: round 1 repeats the first pass's
+	// round 1, rounds 0 and 2 are new.
+	sub := []int{0}
+	for v := 1; v < n; v += 2 {
+		sub = append(sub, v)
+	}
+	pass(sub)
+	if ce.calls != 5 {
+		t.Errorf("subset pass made %d Deliver calls, want 2 (its repeated round served from the memo)", ce.calls-3)
 	}
 }

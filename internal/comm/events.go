@@ -6,7 +6,6 @@ import (
 
 	"dcluster/internal/selectors"
 	"dcluster/internal/sim"
-	"dcluster/internal/sinr"
 )
 
 // eventCacheBudget caps the total number of cached (node, round) schedule
@@ -53,7 +52,7 @@ func NewEventLists(sel selectors.PairSelector) *EventLists {
 // (cached round lists are meaningless for a different family).
 func (el *EventLists) Selector() selectors.PairSelector { return el.sel }
 
-// EventScheduler executes selector-schedule passes event-drivenly. Three
+// EventScheduler executes selector-schedule passes event-drivenly. Two
 // layers of work-avoidance stack on top of each other, each preserving
 // bit-identical results and byte-identical round accounting:
 //
@@ -71,14 +70,11 @@ func (el *EventLists) Selector() selectors.PairSelector { return el.sel }
 //     equal sequences in distinct or reused slices, and relabelled clusters
 //     for the same senders correctly re-prepare.
 //
-//  3. Reception replay. Reception is a pure function of the transmitter and
-//     listener sets, so the reception sequence captured on a live pass is
-//     replayed — via Env.StepReplay, skipping the physical layer — whenever
-//     the same prepared pass runs again against the same listener set.
-//     Within live passes, small-transmitter-set rounds (the dominant round
-//     shape under selective schedules, solo rounds included) hit the
-//     environment's content-keyed reception memo (Env.StepMemo), which
-//     survives across passes with the same listeners.
+// Every round then runs through the environment's content-keyed reception
+// memo (Env.StepMemo) under the pass's interned listener set, which is
+// re-interned only when the listener slice's content changes. A repeated
+// pass — or any round repeated from an earlier pass — is served from the
+// memo without touching the physical layer.
 //
 // Within a round, transmitters appear in caller order — which downstream
 // float summation and tie-breaking depend on — exactly as in the naive
@@ -102,14 +98,12 @@ type EventScheduler struct {
 	lastClusters []int
 	prepared     bool
 
-	// Listener identity and reception capture (layer 3).
+	// Listener identity: the memo's interned listener-set id is refreshed
+	// only when the listener content changes.
 	lastListeners []int
 	listenersNil  bool
 	haveListeners bool
-	lid           uint32           // interned listener-set id (Env.InternListeners)
-	recs          []sinr.Reception // captured receptions, flat across the pass
-	recEnds       []int32          // per active round: end offset into recs
-	recValid      bool
+	lid           uint32 // interned listener-set id (Env.InternListeners)
 }
 
 // NewEventScheduler prepares an event-driven executor for one schedule with
@@ -152,25 +146,13 @@ func (es *EventScheduler) Pass(
 	if !es.prepared || !slices.Equal(es.lastSenders, senders) ||
 		!slices.Equal(es.lastIDs, ids) || !slices.Equal(es.lastClusters, clusters) {
 		es.prepare(senders, ids, clusters)
-		es.recValid = false
 	}
 	if !es.haveListeners || es.listenersNil != (listeners == nil) || !slices.Equal(es.lastListeners, listeners) {
 		es.lastListeners = append(es.lastListeners[:0], listeners...)
 		es.listenersNil = listeners == nil
 		es.haveListeners = true
-		es.recValid = false
 		es.lid = env.InternListeners(listeners)
 	}
-	// Reception replay and capture are sound only while reception is a pure
-	// function of (transmitters, listeners); fault injection breaks that, so
-	// impure executions always run live and never mark a capture valid.
-	pure := env.ReceptionPure()
-	if es.recValid && pure {
-		es.replay(env, start, senders, msgOf, sink)
-		return
-	}
-	es.recs = es.recs[:0]
-	es.recEnds = es.recEnds[:0]
 	lo := int32(0)
 	for k, i32 := range es.active {
 		i := int(i32)
@@ -180,43 +162,10 @@ func (es *EventScheduler) Pass(
 			es.txs = append(es.txs, senders[j])
 		}
 		env.NextActive(start + int64(i) + 1)
-		ds := env.StepMemo(es.txs, msgOf, listeners, es.lid)
-		if pure {
-			for _, d := range ds {
-				es.recs = append(es.recs, sinr.Reception{Receiver: d.Receiver, Sender: d.Sender})
-			}
-			es.recEnds = append(es.recEnds, int32(len(es.recs)))
-		}
-		sink(i, ds)
+		sink(i, env.StepMemo(es.txs, msgOf, listeners, es.lid))
 		lo = hi
 	}
-	// The capture is complete only if the loop was not aborted (budget or
-	// cancellation panics unwind past this line).
-	es.recValid = pure
 	env.NextActive(start + int64(m) + 1)
-}
-
-// replay re-executes the prepared pass from the captured receptions: same
-// rounds, same transmitter sets, same deliveries — without consulting the
-// engine.
-func (es *EventScheduler) replay(env *sim.Env, start int64, senders []int, msgOf func(node int) sim.Msg, sink func(round int, ds []sim.Delivery)) {
-	lo := int32(0)
-	rlo := int32(0)
-	for k, i32 := range es.active {
-		i := int(i32)
-		hi := es.ends[k]
-		es.txs = es.txs[:0]
-		for _, j := range es.events[lo:hi] {
-			es.txs = append(es.txs, senders[j])
-		}
-		rhi := es.recEnds[k]
-		env.NextActive(start + int64(i) + 1)
-		ds := env.StepReplay(es.txs, es.recs[rlo:rhi], msgOf)
-		sink(i, ds)
-		rlo = rhi
-		lo = hi
-	}
-	env.NextActive(start + int64(es.el.m) + 1)
 }
 
 // ensureSchedules fills sched[j] with the ascending scheduled rounds of

@@ -64,8 +64,8 @@ type Control struct {
 	StallWindow int64
 	// ImpureReception declares that reception outcomes depend on more than
 	// the (transmitters, listeners) pair — the fault layer sets it — so the
-	// memoization and replay layers bypass their caches (see
-	// Env.ReceptionPure).
+	// reception memo (StepMemo) bypasses its cache: every round runs live
+	// and none is captured.
 	ImpureReception bool
 }
 
@@ -185,7 +185,7 @@ func NewEnv(f sinr.Engine, ids []int, idBound int) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Env{F: f, IDs: append([]int(nil), ids...), N: idBound, idToNode: idToNode}, nil
+	return &Env{F: f, IDs: append([]int(nil), ids...), N: idBound, idToNode: idToNode, memo: envMemo{budget: memoBudget}}, nil
 }
 
 // MustEnv is NewEnv that panics on error (test/example convenience).
@@ -301,14 +301,17 @@ func (e *Env) Step(txs []int, msgOf func(node int) Msg, listeners []int) []Deliv
 	if e.ra != nil {
 		e.ra.SetRound(e.rounds)
 	}
-	e.recBuf = e.F.Deliver(txs, listeners, e.recBuf[:0])
+	e.recBuf = e.filterDeaf(e.F.Deliver(txs, listeners, e.recBuf[:0]))
+	return e.deliver(len(txs), e.recBuf, msgOf)
+}
+
+// deliver turns a non-silent round's receptions into its deliveries in the
+// pooled result buffer, building and validating each message, and accounts
+// the round: delivery statistics, the observer callback and the stall
+// watchdog. Live and replayed rounds share it.
+func (e *Env) deliver(transmitters int, recs []sinr.Reception, msgOf func(node int) Msg) []Delivery {
 	out := e.delBuf[:0]
-	nf := e.ctl.NodeFaults
-	deaf := nf != nil && nf.AnyDown(e.rounds) // some receivers may be down
-	for _, r := range e.recBuf {
-		if deaf && nf.Down(r.Receiver, e.rounds) {
-			continue
-		}
+	for _, r := range recs {
 		m := msgOf(r.Sender)
 		if err := m.Validate(); err != nil {
 			panic(err) // programming error: oversized message
@@ -318,7 +321,7 @@ func (e *Env) Step(txs []int, msgOf func(node int) Msg, listeners []int) []Deliv
 	e.delBuf = out
 	e.stats.Deliveries += int64(len(out))
 	if e.ctl.Observer != nil {
-		e.ctl.Observer.OnRound(e.rounds, len(txs), len(out))
+		e.ctl.Observer.OnRound(e.rounds, transmitters, len(out))
 	}
 	e.noteLiveRound(len(out))
 	return out
@@ -344,43 +347,20 @@ func (e *Env) CachePut(key any, v any) {
 	e.derived[key] = v
 }
 
-// StepReplay executes one synchronous round whose reception outcome is
+// stepReplay executes one non-silent round whose reception outcome is
 // already known: recs must be exactly what the engine would compute for
-// this transmitter set (and the caller's listener restriction) — i.e. a
-// capture from a previous Step with identical transmitters and listeners on
-// the same engine. Reception is a pure function of those inputs, so the
-// schedule layers use StepReplay to skip the physical-layer computation on
-// repeated passes; every other effect of Step (round counter, statistics,
+// this transmitter set and the caller's listener restriction — the memo's
+// capture of an earlier Step with identical transmitters and listeners on
+// the same engine. Every other effect of Step (round counter, statistics,
 // energy accounting, message construction and validation, observer
 // callback, the pooled result buffer) is identical.
-func (e *Env) StepReplay(txs []int, recs []sinr.Reception, msgOf func(node int) Msg) []Delivery {
+func (e *Env) stepReplay(txs []int, recs []sinr.Reception, msgOf func(node int) Msg) []Delivery {
 	e.checkStop()
 	e.rounds++
 	e.fireRestarts() // replay only runs in pure executions, where this is empty
 	e.stats.Transmissions += int64(len(txs))
-	if len(txs) == 0 {
-		if e.ctl.Observer != nil {
-			e.ctl.Observer.OnRound(e.rounds, 0, 0)
-		}
-		e.noteSilentRound()
-		return nil
-	}
 	e.recordTx(txs)
-	out := e.delBuf[:0]
-	for _, r := range recs {
-		m := msgOf(r.Sender)
-		if err := m.Validate(); err != nil {
-			panic(err) // programming error: oversized message
-		}
-		out = append(out, Delivery{Receiver: r.Receiver, Sender: r.Sender, Msg: m})
-	}
-	e.delBuf = out
-	e.stats.Deliveries += int64(len(out))
-	if e.ctl.Observer != nil {
-		e.ctl.Observer.OnRound(e.rounds, len(txs), len(out))
-	}
-	e.noteLiveRound(len(out))
-	return out
+	return e.deliver(len(txs), recs, msgOf)
 }
 
 // Skip advances the clock by k silent rounds (used when a protocol's

@@ -1,6 +1,10 @@
 package sim
 
-import "errors"
+import (
+	"errors"
+
+	"dcluster/internal/sinr"
+)
 
 // ErrStalled is the abort cause of the stall watchdog: no observable
 // progress (no delivery, no phase mark) for Control.StallWindow consecutive
@@ -44,13 +48,6 @@ type NodeFaults interface {
 // when the execution reaches the stretch's end.
 func (e *Env) OnRestart(fn func(node int)) { e.onRestart = fn }
 
-// ReceptionPure reports whether reception outcomes are a pure function of
-// (transmitters, listeners) in this execution. Fault injection breaks that
-// purity — outcomes then depend on the round number and the fault coins — so
-// the memoization and replay layers must bypass their caches when this
-// returns false.
-func (e *Env) ReceptionPure() bool { return !e.ctl.ImpureReception }
-
 // fireRestarts delivers every scheduled restart at or before the current
 // round. Called after each round-counter advance, including bulk skips.
 func (e *Env) fireRestarts() {
@@ -83,6 +80,24 @@ func (e *Env) filterDown(txs []int) []int {
 		}
 	}
 	e.txFilt = out
+	return out
+}
+
+// filterDeaf strips receptions at down receivers, in place. The zero-fault
+// path returns the input untouched. Memo replays skip it: an execution
+// with node faults also sets Control.ImpureReception (Run does), so none
+// of its rounds replay.
+func (e *Env) filterDeaf(recs []sinr.Reception) []sinr.Reception {
+	nf := e.ctl.NodeFaults
+	if nf == nil || !nf.AnyDown(e.rounds) {
+		return recs
+	}
+	out := recs[:0]
+	for _, r := range recs {
+		if !nf.Down(r.Receiver, e.rounds) {
+			out = append(out, r)
+		}
+	}
 	return out
 }
 

@@ -8,26 +8,26 @@ import (
 
 // Run-scoped reception memo. Reception is a pure function of the
 // transmitter sequence and the listener restriction on a fixed engine, and
-// deterministic schedules revisit the same small transmitter sets hundreds
-// of times across passes, constructions and phases. The environment
-// therefore memoizes round outcomes keyed by (interned listener set,
-// transmitter sequence): schedule executors intern their listener slice
-// once per pass (content-addressed — reused or rebuilt slices are fine) and
-// execute rounds through StepMemo, which replays a previously captured
-// reception sequence when the identical round has run before.
+// deterministic schedules revisit the same transmitter sets hundreds of
+// times across passes, constructions and phases. The environment therefore
+// memoizes round outcomes keyed by (interned listener set, transmitter
+// sequence): schedule executors intern their listener slice once per pass
+// (content-addressed — reused or rebuilt slices are fine) and execute every
+// round through StepMemo, which replays a previously captured reception
+// sequence when the identical round has run before. While the round stays
+// memoized, neither a repeated pass nor a round repeated inside a different
+// pass reaches the engine.
 //
-// Every eligible round — solo transmitters, the dominant shape, included —
-// goes through one open-addressed table, so the memo's memory grows with
-// the rounds it captures, never with n per interned listener set: a global
+// Rounds of every size — solo transmitters, the dominant shape, included —
+// go through one open-addressed table, so the memo's memory grows with the
+// rounds it captures, never with n per interned listener set: a global
 // broadcast over 2000 nodes interns ~2600 listener sets and memoizes only
 // ~11 rounds per set.
 
-// memoTxCap bounds the transmitter-set size eligible for the round memo;
-// larger rounds are rare and dominated by genuinely new physics.
-const memoTxCap = 48
-
 // memoBudget caps the total memoized ints (transmitters + receptions) per
-// execution.
+// execution. A capture that would exceed it empties the memo first, so a
+// long run keeps memoizing its recent rounds instead of freezing on its
+// first ones.
 const memoBudget = 1 << 21
 
 // listenerSetEntry is one interned listener set.
@@ -48,7 +48,8 @@ type roundMemoEntry struct {
 type envMemo struct {
 	sets    map[uint64][]listenerSetEntry
 	nextSet uint32
-	entries int
+	entries int // memoized ints (transmitters + receptions)
+	budget  int // cap on entries: memoBudget, shrunk only by tests
 
 	// Open-addressed round table (linear probing over flat arrays): slot i
 	// holds hashes[i] and the index+1 of its entry in rounds (0 = empty).
@@ -140,6 +141,19 @@ func (m *envMemo) growRounds() {
 	}
 }
 
+// reset empties the round table, keeping its storage and the current arena
+// chunks (no entry references them any more). Interned listener sets
+// survive: their identifiers stay valid for the environment's lifetime.
+func (m *envMemo) reset() {
+	clear(m.hashes)
+	clear(m.slots)
+	clear(m.rounds)
+	m.rounds = m.rounds[:0]
+	m.txArena = m.txArena[:0]
+	m.recArena = m.recArena[:0]
+	m.entries = 0
+}
+
 // intsHash mixes an int sequence into a lookup key (order-sensitive, as
 // both transmitter order and listener order are semantically significant).
 func intsHash(seed uint64, xs []int) uint64 {
@@ -178,39 +192,42 @@ func (e *Env) InternListeners(listeners []int) uint32 {
 // StepMemo is Step with reception memoization: listeners must be the slice
 // whose content was interned as lid (callers intern once per pass). If the
 // identical (lid, txs) round has executed before, the captured receptions
-// are replayed via StepReplay; otherwise the round runs live and its
+// are replayed via stepReplay; otherwise the round runs live and its
 // outcome is captured. Results, statistics and observer behaviour are
 // byte-identical to Step either way.
 func (e *Env) StepMemo(txs []int, msgOf func(node int) Msg, listeners []int, lid uint32) []Delivery {
-	if len(txs) == 0 || len(txs) > memoTxCap || e.ctl.ImpureReception {
+	if len(txs) == 0 || e.ctl.ImpureReception {
 		// Fault injection makes reception round-dependent: every round is
 		// genuinely new physics, so the memo never captures or replays.
 		return e.Step(txs, msgOf, listeners)
 	}
-	if e.memo.hashes == nil {
-		e.memo.growRounds()
+	m := &e.memo
+	if m.hashes == nil {
+		m.growRounds()
 	}
 	key := intsHash(uint64(lid)*0xc2b2ae3d27d4eb4f+14695981039346656037, txs)
-	slot := e.memo.roundSlot(key, lid, txs)
-	if s := e.memo.slots[slot]; s != 0 {
-		return e.StepReplay(txs, e.memo.rounds[s-1].recs, msgOf)
+	slot := m.roundSlot(key, lid, txs)
+	if s := m.slots[slot]; s != 0 {
+		return e.stepReplay(txs, m.rounds[s-1].recs, msgOf)
 	}
 	ds := e.Step(txs, msgOf, listeners)
-	if e.memo.entries+len(txs)+len(ds) <= memoBudget {
-		en := roundMemoEntry{key: key, lid: lid, txs: e.memo.allocTxs(len(txs)), recs: e.memo.allocRecs(len(ds))}
-		for k, v := range txs {
-			en.txs[k] = int32(v)
-		}
-		for _, d := range ds {
-			en.recs = append(en.recs, sinr.Reception{Receiver: d.Receiver, Sender: d.Sender})
-		}
-		e.memo.rounds = append(e.memo.rounds, en)
-		e.memo.hashes[slot] = key
-		e.memo.slots[slot] = int32(len(e.memo.rounds))
-		e.memo.entries += len(txs) + len(ds)
-		if 2*len(e.memo.rounds) >= len(e.memo.hashes) {
-			e.memo.growRounds()
-		}
+	if m.entries+len(txs)+len(ds) > m.budget {
+		m.reset()
+		slot = m.roundSlot(key, lid, txs)
+	}
+	en := roundMemoEntry{key: key, lid: lid, txs: m.allocTxs(len(txs)), recs: m.allocRecs(len(ds))}
+	for k, v := range txs {
+		en.txs[k] = int32(v)
+	}
+	for _, d := range ds {
+		en.recs = append(en.recs, sinr.Reception{Receiver: d.Receiver, Sender: d.Sender})
+	}
+	m.rounds = append(m.rounds, en)
+	m.hashes[slot] = key
+	m.slots[slot] = int32(len(m.rounds))
+	m.entries += len(txs) + len(ds)
+	if 2*len(m.rounds) >= len(m.hashes) {
+		m.growRounds()
 	}
 	return ds
 }

@@ -392,8 +392,8 @@ func (n *Network) Run(ctx context.Context, task Task, opts ...RunOption) (*Resul
 		if err := rc.faults.Validate(n.Len(), true); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadOption, err)
 		}
-		// Reception becomes round-dependent, so the memo/replay layers
-		// must see every round as new physics.
+		// Reception becomes round-dependent, so the reception memo must
+		// see every round as new physics.
 		impure = true
 		if rc.faults.EngineFaults() {
 			runEng = fault.Wrap(eng, rc.faults)

@@ -29,11 +29,14 @@ trap 'rm -f "$raw"' EXIT
 go test -bench=. -benchtime=1x -benchmem -run='^$' ./... | tee "$raw"
 
 # The regression-gated benchmarks (see bench_check.sh) are re-measured at
-# -benchtime=20x -count=3 with the per-benchmark minimum kept, and their 1x
-# rows replaced, so the gate compares like-for-like low-noise samples.
+# -benchtime=20x (engine), 5x (small-n algorithm tier) or 2000x
+# (BenchmarkAlgorithmSteadyState, ~0.1 ms per op) with -count=3 and the
+# per-benchmark minimum kept, and their 1x rows replaced, so the gate
+# compares like-for-like low-noise samples.
 gated="$(mktemp)"
 { go test -bench='^(BenchmarkDeliver|BenchmarkDeliverTx|BenchmarkDeliverDense|BenchmarkRunOverhead)$' -benchtime=20x -benchmem -count=3 -run='^$' . ./internal/sinr/
-  go test -bench='^BenchmarkClustering$|^BenchmarkAlgorithmSteadyState$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$' -benchtime=5x -benchmem -count=3 -run='^$' .
+  go test -bench='^BenchmarkClustering$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$' -benchtime=5x -benchmem -count=3 -run='^$' .
+  go test -bench='^BenchmarkAlgorithmSteadyState$' -benchtime=2000x -benchmem -count=3 -run='^$' .
 } |
     tee /dev/stderr |
     awk '/^Benchmark/ { name = $1

@@ -9,8 +9,8 @@
 # BenchmarkDeliverDense, BenchmarkRunOverhead) at
 # -benchtime=20x -count=3, plus the small-n algorithm-layer tier
 # (BenchmarkClustering at n∈{48,256}, BenchmarkTable1/ours at n∈{48,256},
-# BenchmarkGlobalBroadcastStrip at n=500, BenchmarkAlgorithmSteadyState) at
-# -benchtime=5x -count=3, takes the
+# BenchmarkGlobalBroadcastStrip at n=500) at -benchtime=5x -count=3, and
+# BenchmarkAlgorithmSteadyState at -benchtime=2000x -count=3, takes the
 # per-benchmark minimum (the noise on a
 # shared runner is one-sided), and compares each ns_per_op against a
 # baseline in the benchstat manner (per-benchmark ratio against a fixed
@@ -38,9 +38,12 @@ gate_regex='^(BenchmarkDeliver|BenchmarkDeliverTx|BenchmarkDeliverDense|Benchmar
 # Small-n algorithm-layer tier (root package only): end-to-end clustering and
 # local broadcast at n∈{48,256}, global broadcast along a strip at n=500 (its
 # many small per-phase constructions expose per-phase work that scales with
-# n), plus the warmed-pass allocation gate. The second regex element
-# constrains BenchmarkTable1 to its ours/ rows (the baselines are not gated).
-smalln_regex='^BenchmarkClustering$|^BenchmarkAlgorithmSteadyState$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$'
+# n). The second regex element constrains BenchmarkTable1 to its ours/ rows
+# (the baselines are not gated).
+smalln_regex='^BenchmarkClustering$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$'
+# The warmed-pass allocation gate runs ~0.1 ms per op: at 5x its min-of-3
+# swung between 88 and 205 µs with unchanged code, so it gets 2000x.
+steady_regex='^BenchmarkAlgorithmSteadyState$'
 
 mode="file"
 if [ "${1:-}" = "--git" ]; then
@@ -54,6 +57,7 @@ cd "$(dirname "$0")/.."
 run_gated() { # run_gated <dir> <out> — per-benchmark min of 3 runs
     { (cd "$1" && go test -bench="$gate_regex" -benchtime=20x -benchmem -count=3 -run='^$' $gate_pkgs)
       (cd "$1" && go test -bench="$smalln_regex" -benchtime=5x -benchmem -count=3 -run='^$' .)
+      (cd "$1" && go test -bench="$steady_regex" -benchtime=2000x -benchmem -count=3 -run='^$' .)
     } |
         tee /dev/stderr |
         awk '/^Benchmark/ { name = $1
