@@ -251,6 +251,40 @@ func BenchmarkGlobalBroadcastStrip(b *testing.B) {
 	})
 }
 
+// BenchmarkRunFaulted measures a faulted execution end to end: local
+// broadcast on four dense clumps with 5% reception drops, dense engine.
+// Faulted rounds share the reception memo with the faults applied per
+// round on top, so this row tracks the memo-plus-filter path that a
+// fault-free run never takes; it backs the bench_check small-n tier.
+func BenchmarkRunFaulted(b *testing.B) {
+	var pts []Point
+	for c := range 4 {
+		for _, p := range GaussianClusters(16, 1, 0, 0.3, int64(c)) {
+			pts = append(pts, Pt(p.X+16*float64(c), p.Y))
+		}
+	}
+	spec, err := ParseFaultSpec("seed=1;drop=0.05")
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := NewNetwork(pts, WithEngine(EngineDense))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("n=%d/drop=0.05", len(pts)), func(b *testing.B) {
+		b.ReportAllocs()
+		var rounds int64
+		for i := 0; i < b.N; i++ {
+			res, err := net.Run(context.Background(), LocalBroadcast(), WithFaults(spec))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rounds = res.Stats.Rounds
+		}
+		b.ReportMetric(float64(rounds), "rounds")
+	})
+}
+
 // BenchmarkFig2Proximity measures one proximity-graph construction (E4).
 func BenchmarkFig2Proximity(b *testing.B) {
 	pts := UniformDisk(60, 2.2, 17)

@@ -70,9 +70,14 @@ func TestGoldenClustering(t *testing.T) {
 		}
 		lines = append(lines, dense, sparse)
 	}
-	got := strings.Join(lines, "\n") + "\n"
+	goldenCompare(t, "clustering.golden", strings.Join(lines, "\n")+"\n")
+}
 
-	path := filepath.Join("testdata", "golden", "clustering.golden")
+// goldenCompare checks got against testdata/golden/name, or rewrites the
+// file under -update.
+func goldenCompare(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -88,6 +93,6 @@ func TestGoldenClustering(t *testing.T) {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("clustering results drifted from golden file %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
+		t.Errorf("results drifted from golden file %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }

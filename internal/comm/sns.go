@@ -121,7 +121,7 @@ func (s *SNS) Run(env *sim.Env, active []int, msgOf func(node int) sim.Msg, list
 		s.clusters = append(s.clusters, 1)
 	}
 	if s.sink == nil {
-		s.sink = func(_ int, ds []sim.Delivery) { s.all = append(s.all, ds...) }
+		s.sink = func(_ int, ds []sim.Delivery) { s.all = sim.AppendPass(s.all, ds) }
 	}
 	s.all = env.PassBuf()
 	s.ev.Pass(env, active, s.ids, s.clusters, msgOf, listeners, s.sink)

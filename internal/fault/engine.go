@@ -18,10 +18,12 @@ import (
 // receptions and never change which sender would win. Probabilistic drops
 // remove receptions by definition.
 //
-// The decorator is round-aware (sinr.RoundAware): the execution environment
-// calls SetRound before each Deliver. Query methods (SINR, Receives) answer
-// for the current round; Gain, Distance and CommGraph describe the
-// fault-free geometry.
+// The decorator implements sinr.RoundFilter: the execution environment
+// computes the fault-free receptions on the inner engine (or recalls them
+// from its reception memo) and applies Filter with the round number. Query
+// methods (SINR, Receives, Deliver) answer for the round of the latest
+// Filter call; Gain, Distance and CommGraph describe the fault-free
+// geometry.
 type Engine struct {
 	inner sinr.Engine
 	spec  *Spec
@@ -35,12 +37,8 @@ func Wrap(inner sinr.Engine, spec *Spec) *Engine {
 	return &Engine{inner: inner, spec: spec}
 }
 
-// Unwrap returns the decorated engine (the Run layer releases the inner
-// session back to its pool, not the wrapper).
+// Unwrap implements sinr.RoundFilter: the decorated engine.
 func (e *Engine) Unwrap() sinr.Engine { return e.inner }
-
-// SetRound implements sinr.RoundAware.
-func (e *Engine) SetRound(round int64) { e.round = round }
 
 // SetStopCheck implements sinr.StopChecker by forwarding to the inner
 // engine when it supports cooperative cancellation.
@@ -74,23 +72,32 @@ func (e *Engine) Session() sinr.Engine {
 	return &Engine{inner: e.inner.Session(), spec: e.spec}
 }
 
-// Deliver implements sinr.Engine: the inner engine's receptions for the
-// current round, minus those the faults take out.
+// Deliver implements sinr.Engine: the inner engine's receptions minus
+// those the faults of the latest Filter call's round take out.
 func (e *Engine) Deliver(transmitters []int, listeners []int, dst []sinr.Reception) []sinr.Reception {
 	e.recs = e.inner.Deliver(transmitters, listeners, e.recs[:0])
-	r := e.round
-	noiseF := e.spec.noiseFactorAt(r)
-	jamming := e.spec.jammingAt(r)
+	return e.Filter(e.round, transmitters, e.recs, dst)
+}
+
+// Filter implements sinr.RoundFilter: it appends to dst the receptions in
+// recs (the inner engine's outcome for transmitters) that still clear the
+// SINR threshold under the round's spiked noise and jammer interference and
+// whose drop coins land on "keep". The round becomes the one the query
+// methods answer for.
+func (e *Engine) Filter(round int64, transmitters []int, recs, dst []sinr.Reception) []sinr.Reception {
+	e.round = round
+	noiseF := e.spec.noiseFactorAt(round)
+	jamming := e.spec.jammingAt(round)
 	dropping := len(e.spec.Drops) > 0
 	if noiseF == 1 && !jamming && !dropping {
-		return append(dst, e.recs...)
+		return append(dst, recs...)
 	}
 	p := e.inner.Params()
 	var pos []geom.Point
 	if jamming {
 		pos = e.inner.Positions()
 	}
-	for _, rec := range e.recs {
+	for _, rec := range recs {
 		if noiseF > 1 || jamming {
 			interference := 0.0
 			for _, w := range transmitters {
@@ -99,13 +106,13 @@ func (e *Engine) Deliver(transmitters []int, listeners []int, dst []sinr.Recepti
 				}
 			}
 			if jamming {
-				interference += e.spec.jamGain(r, pos[rec.Receiver], p)
+				interference += e.spec.jamGain(round, pos[rec.Receiver], p)
 			}
 			if e.inner.Gain(rec.Sender, rec.Receiver) < p.Beta*(noiseF*p.Noise+interference) {
 				continue
 			}
 		}
-		if dropping && !e.spec.keep(r, rec.Sender, rec.Receiver) {
+		if dropping && !e.spec.keep(round, rec.Sender, rec.Receiver) {
 			continue
 		}
 		dst = append(dst, rec)
@@ -158,9 +165,9 @@ func (e *Engine) positionOf(u int) geom.Point {
 }
 
 // Compile-time checks: the decorator is a full engine with cancellation and
-// round awareness.
+// a round filter.
 var (
 	_ sinr.Engine      = (*Engine)(nil)
 	_ sinr.StopChecker = (*Engine)(nil)
-	_ sinr.RoundAware  = (*Engine)(nil)
+	_ sinr.RoundFilter = (*Engine)(nil)
 )

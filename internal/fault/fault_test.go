@@ -7,6 +7,7 @@ package fault
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -266,12 +267,17 @@ func TestEngineDecorator(t *testing.T) {
 		wrapped := Wrap(inner, &spec)
 		var perRound [][]sinr.Reception
 		for r := int64(1); r <= 10; r++ {
-			wrapped.SetRound(r)
-			got := wrapped.Deliver(txs, nil, nil)
-
 			// Oracle: recompute the surviving subset of the inner engine's
 			// receptions by the SINR definition with faults applied.
 			base := inner.Deliver(txs, nil, nil)
+			kept := slices.Clone(base)
+			got := wrapped.Filter(r, txs, base, nil)
+			if !slices.Equal(base, kept) {
+				t.Fatalf("engine %d round %d: Filter wrote to its input", ei, r)
+			}
+			if again := wrapped.Deliver(txs, nil, nil); !slices.Equal(again, got) {
+				t.Fatalf("engine %d round %d: Deliver after Filter = %v, Filter %v", ei, r, again, got)
+			}
 			var want []sinr.Reception
 			p := inner.Params()
 			noiseF, jamming := spec.noiseFactorAt(r), spec.jammingAt(r)
@@ -324,10 +330,9 @@ func TestEngineDecoratorZeroFaultIdentity(t *testing.T) {
 	spec := Spec{Seed: 1, Drops: []Drop{{P: 0.9, Window: Window{From: 100, To: 200}}}}
 	for _, inner := range engines(t, pts) {
 		wrapped := Wrap(inner, &spec)
-		wrapped.SetRound(50) // outside every window
 		txs := []int{1, 2, 17}
-		got := wrapped.Deliver(txs, nil, nil)
 		want := inner.Deliver(txs, nil, nil)
+		got := wrapped.Filter(50, txs, want, nil) // outside every window
 		if len(got) != len(want) {
 			t.Fatalf("inactive faults changed the reception count: %d vs %d", len(got), len(want))
 		}
@@ -344,8 +349,8 @@ func TestEngineDecoratorDropAll(t *testing.T) {
 	spec := Spec{Drops: []Drop{{P: 1}}}
 	for _, inner := range engines(t, pts) {
 		wrapped := Wrap(inner, &spec)
-		wrapped.SetRound(1)
-		if got := wrapped.Deliver([]int{0, 5}, nil, nil); len(got) != 0 {
+		txs := []int{0, 5}
+		if got := wrapped.Filter(1, txs, inner.Deliver(txs, nil, nil), nil); len(got) != 0 {
 			t.Fatalf("p=1 drop let %d receptions through", len(got))
 		}
 	}
@@ -357,11 +362,10 @@ func TestEngineDecoratorSessionIndependence(t *testing.T) {
 	inner := engines(t, pts)[0]
 	wrapped := Wrap(inner, &spec)
 	sess := wrapped.Session()
-	ra := sess.(sinr.RoundAware)
-	wrapped.SetRound(2) // noisy round on the parent...
-	ra.SetRound(1)      // ...quiet round on the session
 	txs := []int{3}
 	base := inner.Deliver(txs, nil, nil)
+	wrapped.Filter(2, txs, base, nil)                 // noisy round on the parent...
+	sess.(sinr.RoundFilter).Filter(1, txs, base, nil) // ...quiet round on the session
 	if got := sess.Deliver(txs, nil, nil); len(got) != len(base) {
 		t.Error("session inherited the parent's round state")
 	}

@@ -101,13 +101,20 @@ func (s *Schedule) snapshotSenders(senders []int) {
 // consume a pass's deliveries before starting another pass (every caller in
 // this repository does).
 func (s *Schedule) Run(env *sim.Env, senders []int, msgOf func(node int) sim.Msg, listeners []int) []sim.Delivery {
-	s.snapshotSenders(senders)
 	all := env.PassBuf()
-	s.ev.Pass(env, s.members, s.mIDs, s.mClu, msgOf, listeners, func(_ int, ds []sim.Delivery) {
-		all = append(all, ds...)
+	s.pass(env, senders, msgOf, listeners, func(_ int, ds []sim.Delivery) {
+		all = sim.AppendPass(all, ds)
 	})
 	env.SetPassBuf(all)
 	return all
+}
+
+// pass replays the schedule like Run but streams: sink receives each
+// non-silent round's schedule index and deliveries (valid only during the
+// call) instead of an accumulated pass.
+func (s *Schedule) pass(env *sim.Env, senders []int, msgOf func(node int) sim.Msg, listeners []int, sink func(round int, ds []sim.Delivery)) {
+	s.snapshotSenders(senders)
+	s.ev.Pass(env, s.members, s.mIDs, s.mClu, msgOf, listeners, sink)
 }
 
 // scratch holds the per-construction working state, pooled across calls so
@@ -329,27 +336,28 @@ func Construct(
 				sc.senders = append(sc.senders, v)
 			}
 		}
-		ds := s.Run(env, sc.senders, msg, active)
-		for _, d := range ds {
-			if d.Msg.Kind != sim.KindConfirm {
-				continue
-			}
-			u := d.Receiver
-			if int(d.Msg.A) != env.IDs[u] {
-				continue // confirmation addressed to someone else
-			}
-			lo, ok := sc.candS.Get(u)
-			if !ok {
-				continue
-			}
-			hi, _ := sc.candE.Get(u)
-			for p := lo; p < hi; p++ {
-				if int(sc.candBuf[p]) == d.Sender {
-					sc.conf[p] = true // w ∈ Cu and v ∈ Cw evidenced
-					break
+		s.pass(env, sc.senders, msg, active, func(_ int, ds []sim.Delivery) {
+			for _, d := range ds {
+				if d.Msg.Kind != sim.KindConfirm {
+					continue
+				}
+				u := d.Receiver
+				if int(d.Msg.A) != env.IDs[u] {
+					continue // confirmation addressed to someone else
+				}
+				lo, ok := sc.candS.Get(u)
+				if !ok {
+					continue
+				}
+				hi, _ := sc.candE.Get(u)
+				for p := lo; p < hi; p++ {
+					if int(sc.candBuf[p]) == d.Sender {
+						sc.conf[p] = true // w ∈ Cu and v ∈ Cw evidenced
+						break
+					}
 				}
 			}
-		}
+		})
 	}
 
 	if dst == nil {
@@ -388,11 +396,10 @@ func sortByID(span []int32, ids []int) {
 // rule). The pass is the schedule's first, so it also warms the event
 // scheduler's per-member round cache for every replay that follows.
 func exchangeWithRounds(env *sim.Env, s *Schedule, sc *scratch, active []int, msgOf func(int) sim.Msg) {
-	s.snapshotSenders(active)
 	sc.recR = sc.recR[:0]
 	sc.recS = sc.recS[:0]
 	sc.recRound = sc.recRound[:0]
-	s.ev.Pass(env, s.members, s.mIDs, s.mClu, msgOf, active, func(i int, ds []sim.Delivery) {
+	s.pass(env, active, msgOf, active, func(i int, ds []sim.Delivery) {
 		for _, d := range ds {
 			sc.recR = append(sc.recR, int32(d.Receiver))
 			sc.recS = append(sc.recS, int32(d.Sender))

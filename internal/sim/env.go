@@ -62,10 +62,12 @@ type Control struct {
 	// the round single-stepping would) — so it must be sized well above the
 	// protocol's longest natural progress-free stretch.
 	StallWindow int64
-	// ImpureReception declares that reception outcomes depend on more than
-	// the (transmitters, listeners) pair — the fault layer sets it — so the
-	// reception memo (StepMemo) bypasses its cache: every round runs live
-	// and none is captured.
+	// ImpureReception is ignored. Faulted executions share the reception
+	// memo: it holds the fault-free outcome of each (transmitters,
+	// listeners) round, and the fault layer applies per round on top of it
+	// (see StepMemo).
+	//
+	// Deprecated: the field has no effect; leave it unset.
 	ImpureReception bool
 }
 
@@ -103,8 +105,14 @@ type Env struct {
 	txCount  []int64
 	ctl      Control
 
+	// phys computes the fault-free receptions: F, or the engine under F
+	// when F is a fault decorator, which is then also filter.
+	phys   sinr.Engine
+	filter sinr.RoundFilter
+
 	txBuf   []int
-	recBuf  []sinr.Reception
+	recBuf  []sinr.Reception // fault-free receptions of the current round
+	recFilt []sinr.Reception // the current round's receptions after faults
 	delBuf  []Delivery
 	passBuf []Delivery
 	memo    envMemo
@@ -115,14 +123,13 @@ type Env struct {
 	derived map[any]any
 
 	// Fault-layer state (see fault.go): the restart schedule cursor, the
-	// restart callback, the stall watchdog's idle-round counter, the
-	// transmitter-filter scratch, and the engine's round hook.
+	// restart callback, the stall watchdog's idle-round counter and the
+	// transmitter-filter scratch.
 	restarts   []Restart
 	restartIdx int
 	onRestart  func(node int)
 	idle       int64
 	txFilt     []int
-	ra         sinr.RoundAware
 }
 
 // Stats aggregates execution counters.
@@ -185,7 +192,11 @@ func NewEnv(f sinr.Engine, ids []int, idBound int) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Env{F: f, IDs: append([]int(nil), ids...), N: idBound, idToNode: idToNode, memo: envMemo{budget: memoBudget}}, nil
+	e := &Env{F: f, phys: f, IDs: append([]int(nil), ids...), N: idBound, idToNode: idToNode, memo: envMemo{budget: min(memoBudget, memoPerNode*n)}}
+	if rf, ok := f.(sinr.RoundFilter); ok {
+		e.phys, e.filter = rf.Unwrap(), rf
+	}
+	return e, nil
 }
 
 // MustEnv is NewEnv that panics on error (test/example convenience).
@@ -228,9 +239,6 @@ func (e *Env) SetControl(c Control) {
 		e.restarts = c.NodeFaults.Restarts()
 	}
 	e.idle = 0
-	// Round-dependent engine decorators (the fault layer) learn the round
-	// number before each Deliver.
-	e.ra, _ = e.F.(sinr.RoundAware)
 	// Install (or clear — sessions are pooled across runs) the engines'
 	// cooperative mid-round cancellation hook.
 	if sc, ok := e.F.(sinr.StopChecker); ok {
@@ -285,6 +293,18 @@ func (e *Env) checkStop() {
 // each round's deliveries before advancing the clock. Every caller in this
 // repository does; the steady-state round loop performs zero allocations.
 func (e *Env) Step(txs []int, msgOf func(node int) Msg, listeners []int) []Delivery {
+	txs = e.beginRound(txs)
+	if len(txs) == 0 {
+		return nil
+	}
+	e.recBuf = e.phys.Deliver(txs, listeners, e.recBuf[:0])
+	return e.deliver(txs, e.recBuf, msgOf)
+}
+
+// beginRound opens the next round: the stop check, the clock, scheduled
+// restarts and the down-node filter. It returns the surviving transmitters,
+// already accounted, or nil after closing a round left silent.
+func (e *Env) beginRound(txs []int) []int {
 	e.checkStop()
 	e.rounds++
 	e.fireRestarts()
@@ -298,18 +318,16 @@ func (e *Env) Step(txs []int, msgOf func(node int) Msg, listeners []int) []Deliv
 		return nil
 	}
 	e.recordTx(txs)
-	if e.ra != nil {
-		e.ra.SetRound(e.rounds)
-	}
-	e.recBuf = e.filterDeaf(e.F.Deliver(txs, listeners, e.recBuf[:0]))
-	return e.deliver(len(txs), e.recBuf, msgOf)
+	return txs
 }
 
-// deliver turns a non-silent round's receptions into its deliveries in the
-// pooled result buffer, building and validating each message, and accounts
-// the round: delivery statistics, the observer callback and the stall
-// watchdog. Live and replayed rounds share it.
-func (e *Env) deliver(transmitters int, recs []sinr.Reception, msgOf func(node int) Msg) []Delivery {
+// deliver applies the round's faults to its fault-free receptions recs
+// (computed live or recalled from the memo), turns the survivors into
+// deliveries in the pooled result buffer, building and validating each
+// message, and accounts the round: delivery statistics, the observer
+// callback and the stall watchdog.
+func (e *Env) deliver(txs []int, recs []sinr.Reception, msgOf func(node int) Msg) []Delivery {
+	recs = e.applyFaults(txs, recs)
 	out := e.delBuf[:0]
 	for _, r := range recs {
 		m := msgOf(r.Sender)
@@ -321,7 +339,7 @@ func (e *Env) deliver(transmitters int, recs []sinr.Reception, msgOf func(node i
 	e.delBuf = out
 	e.stats.Deliveries += int64(len(out))
 	if e.ctl.Observer != nil {
-		e.ctl.Observer.OnRound(e.rounds, transmitters, len(out))
+		e.ctl.Observer.OnRound(e.rounds, len(txs), len(out))
 	}
 	e.noteLiveRound(len(out))
 	return out
@@ -345,22 +363,6 @@ func (e *Env) CachePut(key any, v any) {
 		e.derived = map[any]any{}
 	}
 	e.derived[key] = v
-}
-
-// stepReplay executes one non-silent round whose reception outcome is
-// already known: recs must be exactly what the engine would compute for
-// this transmitter set and the caller's listener restriction — the memo's
-// capture of an earlier Step with identical transmitters and listeners on
-// the same engine. Every other effect of Step (round counter, statistics,
-// energy accounting, message construction and validation, observer
-// callback, the pooled result buffer) is identical.
-func (e *Env) stepReplay(txs []int, recs []sinr.Reception, msgOf func(node int) Msg) []Delivery {
-	e.checkStop()
-	e.rounds++
-	e.fireRestarts() // replay only runs in pure executions, where this is empty
-	e.stats.Transmissions += int64(len(txs))
-	e.recordTx(txs)
-	return e.deliver(len(txs), recs, msgOf)
 }
 
 // Skip advances the clock by k silent rounds (used when a protocol's
@@ -450,3 +452,16 @@ func (e *Env) PassBuf() []Delivery { return e.passBuf[:0] }
 
 // SetPassBuf stores the (possibly grown) buffer back after a pass.
 func (e *Env) SetPassBuf(b []Delivery) { e.passBuf = b }
+
+// AppendPass appends one round's deliveries to a pass accumulator, doubling
+// its capacity when full: append's ~1.25× growth for large slices would
+// re-copy the 64-byte values several times over while a pass buffer first
+// grows to its working size.
+func AppendPass(all, ds []Delivery) []Delivery {
+	if need := len(all) + len(ds); need > cap(all) {
+		grown := make([]Delivery, len(all), max(need, 2*cap(all)))
+		copy(grown, all)
+		all = grown
+	}
+	return append(all, ds...)
+}

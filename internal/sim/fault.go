@@ -83,21 +83,29 @@ func (e *Env) filterDown(txs []int) []int {
 	return out
 }
 
-// filterDeaf strips receptions at down receivers, in place. The zero-fault
-// path returns the input untouched. Memo replays skip it: an execution
-// with node faults also sets Control.ImpureReception (Run does), so none
-// of its rounds replay.
-func (e *Env) filterDeaf(recs []sinr.Reception) []sinr.Reception {
+// applyFaults returns the receptions of the current round that survive its
+// faults: the engine decorator's removals (Filter), then receptions at down
+// receivers. recs, the round's fault-free outcome, is left intact;
+// survivors go to the recFilt scratch. The zero-fault path returns recs
+// itself.
+func (e *Env) applyFaults(txs []int, recs []sinr.Reception) []sinr.Reception {
+	if e.filter != nil {
+		e.recFilt = e.filter.Filter(e.rounds, txs, recs, e.recFilt[:0])
+		recs = e.recFilt
+	}
 	nf := e.ctl.NodeFaults
 	if nf == nil || !nf.AnyDown(e.rounds) {
 		return recs
 	}
-	out := recs[:0]
+	// Compacting in place is safe when recs is already the scratch: the
+	// write cursor never passes the read cursor.
+	out := e.recFilt[:0]
 	for _, r := range recs {
 		if !nf.Down(r.Receiver, e.rounds) {
 			out = append(out, r)
 		}
 	}
+	e.recFilt = out
 	return out
 }
 

@@ -3,16 +3,13 @@ package sim
 // Execution-environment fault tests: node-outage filtering, restart
 // delivery (stepped and collapsed), the stall watchdog's exact-round
 // semantics and its equivalence across fast-forward modes, the
-// budget-vs-stall tie-break, ErrCanceled wrapping, and the memoization
-// bypass under impure reception.
+// budget-vs-stall tie-break and ErrCanceled wrapping. Faulted rounds
+// through the reception memo are tested in memo_fault_test.go.
 
 import (
 	"context"
 	"errors"
 	"testing"
-
-	"dcluster/internal/geom"
-	"dcluster/internal/sinr"
 )
 
 // stubFaults is a hand-rolled NodeFaults schedule for the tests.
@@ -242,42 +239,5 @@ func TestCanceledWrapsContextError(t *testing.T) {
 	err = catchStop(func() { e.Skip(10) })
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Errorf("Skip err = %v, want both ErrCanceled and context.Canceled", err)
-	}
-}
-
-// countEngine counts physical-layer Deliver calls to observe memoization.
-type countEngine struct {
-	sinr.Engine
-	calls int
-}
-
-func (c *countEngine) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr.Reception {
-	c.calls++
-	return c.Engine.Deliver(txs, listeners, dst)
-}
-
-func TestImpureReceptionBypassesMemo(t *testing.T) {
-	newCounted := func() (*Env, *countEngine) {
-		f, err := sinr.NewField(sinr.DefaultParams(), geom.LinePath(4, 0.5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ce := &countEngine{Engine: f}
-		return MustEnv(ce, nil, 0), ce
-	}
-
-	pure, pe := newCounted()
-	pure.StepMemo([]int{0}, helloOf, nil, 0)
-	pure.StepMemo([]int{0}, helloOf, nil, 0)
-	if pe.calls != 1 {
-		t.Errorf("pure repeat round hit the engine %d times, want 1 (memo)", pe.calls)
-	}
-
-	impure, ie := newCounted()
-	impure.SetControl(Control{ImpureReception: true})
-	impure.StepMemo([]int{0}, helloOf, nil, 0)
-	impure.StepMemo([]int{0}, helloOf, nil, 0)
-	if ie.calls != 2 {
-		t.Errorf("impure repeat round hit the engine %d times, want 2 (memo bypassed)", ie.calls)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"dcluster/internal/sinr"
 )
 
-// Run-scoped reception memo. Reception is a pure function of the
+// Run-scoped reception memo. Fault-free reception is a pure function of the
 // transmitter sequence and the listener restriction on a fixed engine, and
 // deterministic schedules revisit the same transmitter sets hundreds of
 // times across passes, constructions and phases. The environment therefore
@@ -18,17 +18,28 @@ import (
 // memoized, neither a repeated pass nor a round repeated inside a different
 // pass reaches the engine.
 //
+// Faulted executions share the memo. Every injected fault only removes
+// receptions from the fault-free outcome (see fault.Engine), so the memo
+// keys on the transmitters that survive the round's node outages and holds
+// the fault-free receptions of the engine under the fault decorator; the
+// round's faults are applied on top of a hit or a miss alike.
+//
 // Rounds of every size — solo transmitters, the dominant shape, included —
 // go through one open-addressed table, so the memo's memory grows with the
 // rounds it captures, never with n per interned listener set: a global
 // broadcast over 2000 nodes interns ~2600 listener sets and memoizes only
 // ~11 rounds per set.
 
-// memoBudget caps the total memoized ints (transmitters + receptions) per
-// execution. A capture that would exceed it empties the memo first, so a
-// long run keeps memoizing its recent rounds instead of freezing on its
-// first ones.
-const memoBudget = 1 << 21
+// memoBudget and memoPerNode cap the memoized ints (transmitters +
+// receptions) of one execution at min(memoBudget, memoPerNode·n). A capture
+// that would exceed the cap empties the memo first, so a long run keeps
+// memoizing its recent rounds instead of freezing on its first ones. The
+// per-node term keeps a small network's footprint proportional to it; from
+// n = 2048 on, the flat cap applies.
+const (
+	memoBudget  = 1 << 21
+	memoPerNode = 1024
+)
 
 // listenerSetEntry is one interned listener set.
 type listenerSetEntry struct {
@@ -36,20 +47,21 @@ type listenerSetEntry struct {
 	content []int
 }
 
-// roundMemoEntry is one memoized round outcome: the exact transmitter
-// sequence under one interned listener set, and its receptions.
+// roundMemoEntry is one memoized round outcome under one interned listener
+// set: data holds the ntx transmitters, then a (receiver, sender) pair per
+// fault-free reception.
 type roundMemoEntry struct {
 	key  uint64
 	lid  uint32
-	txs  []int32
-	recs []sinr.Reception
+	ntx  int32
+	data []int32
 }
 
 type envMemo struct {
 	sets    map[uint64][]listenerSetEntry
 	nextSet uint32
 	entries int // memoized ints (transmitters + receptions)
-	budget  int // cap on entries: memoBudget, shrunk only by tests
+	budget  int // cap on entries; shrunk only by tests
 
 	// Open-addressed round table (linear probing over flat arrays): slot i
 	// holds hashes[i] and the index+1 of its entry in rounds (0 = empty).
@@ -59,9 +71,10 @@ type envMemo struct {
 	slots  []int32
 	rounds []roundMemoEntry
 
-	// Arena chunks backing the entries' txs and recs (see allocTxs).
-	txArena  []int32
-	recArena []sinr.Reception
+	// Arena chunks backing the entries' data (see alloc): chunks[used-1] is
+	// the one being carved; an empty memo carves its kept chunks again.
+	chunks [][]int32
+	used   int
 }
 
 // roundSlot returns the probe slot for key: either the slot holding an
@@ -78,9 +91,9 @@ func (m *envMemo) roundSlot(key uint64, lid uint32, txs []int) int {
 		}
 		if m.hashes[i] == key {
 			en := &m.rounds[s-1]
-			if en.lid == lid && len(en.txs) == len(txs) {
+			if en.lid == lid && int(en.ntx) == len(txs) {
 				match := true
-				for k, v := range en.txs {
+				for k, v := range en.data[:en.ntx] {
 					if int(v) != txs[k] {
 						match = false
 						break
@@ -95,33 +108,32 @@ func (m *envMemo) roundSlot(key uint64, lid uint32, txs []int) int {
 	}
 }
 
-// memoChunk sizes the arena chunks backing captured transmitter and
-// reception sequences: one allocation serves many captures, instead of two
-// small zeroed allocations per memoized round.
+// memoChunk sizes the arena chunks backing captured rounds: one allocation
+// serves many captures, instead of a small zeroed allocation per memoized
+// round.
 const memoChunk = 4096
 
-// allocTxs carves a length-n int32 slice out of the transmitter arena.
-func (m *envMemo) allocTxs(n int) []int32 {
-	if len(m.txArena)+n > cap(m.txArena) {
-		m.txArena = make([]int32, 0, max(memoChunk, n))
+// alloc carves a length-n slice out of the arena, moving to the next kept
+// chunk, or a new one, when the current chunk lacks room.
+func (m *envMemo) alloc(n int) []int32 {
+	if m.used == 0 || len(m.chunks[m.used-1])+n > cap(m.chunks[m.used-1]) {
+		if m.used == len(m.chunks) {
+			m.chunks = append(m.chunks, nil)
+		}
+		if cap(m.chunks[m.used]) < n {
+			m.chunks[m.used] = make([]int32, 0, max(memoChunk, n))
+		}
+		m.chunks[m.used] = m.chunks[m.used][:0]
+		m.used++
 	}
-	s := m.txArena[len(m.txArena) : len(m.txArena)+n]
-	m.txArena = m.txArena[:len(m.txArena)+n]
-	return s
+	c := m.chunks[m.used-1]
+	m.chunks[m.used-1] = c[:len(c)+n]
+	return c[len(c) : len(c)+n : len(c)+n]
 }
 
-// allocRecs carves a zero-length, capacity-n slice out of the reception
-// arena.
-func (m *envMemo) allocRecs(n int) []sinr.Reception {
-	if len(m.recArena)+n > cap(m.recArena) {
-		m.recArena = make([]sinr.Reception, 0, max(memoChunk, n))
-	}
-	s := m.recArena[len(m.recArena) : len(m.recArena) : len(m.recArena)+n]
-	m.recArena = m.recArena[:len(m.recArena)+n]
-	return s
-}
-
-// growRounds (re)builds the probe table at twice the capacity.
+// growRounds (re)builds the probe table at twice the capacity, and gives
+// rounds the capacity the table admits before its next growth (the table is
+// kept at most half full).
 func (m *envMemo) growRounds() {
 	n := 2 * len(m.hashes)
 	if n == 0 {
@@ -129,6 +141,7 @@ func (m *envMemo) growRounds() {
 	}
 	m.hashes = make([]uint64, n)
 	m.slots = make([]int32, n)
+	m.rounds = append(make([]roundMemoEntry, 0, n/2), m.rounds...)
 	mask := uint64(n - 1)
 	for ei := range m.rounds {
 		en := &m.rounds[ei]
@@ -141,17 +154,51 @@ func (m *envMemo) growRounds() {
 	}
 }
 
-// reset empties the round table, keeping its storage and the current arena
-// chunks (no entry references them any more). Interned listener sets
-// survive: their identifiers stay valid for the environment's lifetime.
+// reset empties the round table, keeping its storage and the arena chunks
+// (no entry references them any more). Interned listener sets survive:
+// their identifiers stay valid for the environment's lifetime.
 func (m *envMemo) reset() {
 	clear(m.hashes)
 	clear(m.slots)
 	clear(m.rounds)
 	m.rounds = m.rounds[:0]
-	m.txArena = m.txArena[:0]
-	m.recArena = m.recArena[:0]
+	m.used = 0
 	m.entries = 0
+}
+
+// capture memoizes the fault-free receptions recs of round (lid, txs) in
+// slot, the empty slot roundSlot found for key.
+func (m *envMemo) capture(slot int, key uint64, lid uint32, txs []int, recs []sinr.Reception) {
+	if m.entries+len(txs)+len(recs) > m.budget {
+		m.reset()
+		slot = m.roundSlot(key, lid, txs)
+	}
+	data := m.alloc(len(txs) + 2*len(recs))
+	for k, v := range txs {
+		data[k] = int32(v)
+	}
+	for k, r := range recs {
+		data[len(txs)+2*k] = int32(r.Receiver)
+		data[len(txs)+2*k+1] = int32(r.Sender)
+	}
+	m.rounds = append(m.rounds, roundMemoEntry{key: key, lid: lid, ntx: int32(len(txs)), data: data})
+	m.hashes[slot] = key
+	m.slots[slot] = int32(len(m.rounds))
+	m.entries += len(txs) + len(recs)
+	if 2*len(m.rounds) >= len(m.hashes) {
+		m.growRounds()
+	}
+}
+
+// recall decodes the memoized receptions of entry s (a slots value) into
+// dst.
+func (m *envMemo) recall(s int32, dst []sinr.Reception) []sinr.Reception {
+	en := &m.rounds[s-1]
+	pairs := en.data[en.ntx:]
+	for k := 0; k+1 < len(pairs); k += 2 {
+		dst = append(dst, sinr.Reception{Receiver: int(pairs[k]), Sender: int(pairs[k+1])})
+	}
+	return dst
 }
 
 // intsHash mixes an int sequence into a lookup key (order-sensitive, as
@@ -190,16 +237,17 @@ func (e *Env) InternListeners(listeners []int) uint32 {
 }
 
 // StepMemo is Step with reception memoization: listeners must be the slice
-// whose content was interned as lid (callers intern once per pass). If the
-// identical (lid, txs) round has executed before, the captured receptions
-// are replayed via stepReplay; otherwise the round runs live and its
-// outcome is captured. Results, statistics and observer behaviour are
-// byte-identical to Step either way.
+// whose content was interned as lid (callers intern once per pass). The
+// round's transmitters are first stripped of down nodes; if the identical
+// (lid, transmitters) round has executed before, its captured fault-free
+// receptions are recalled, and otherwise the engine under the fault layer
+// computes them and they are captured. The round's faults then apply to
+// either, exactly as in Step, so results, statistics and observer behaviour
+// are byte-identical to Step.
 func (e *Env) StepMemo(txs []int, msgOf func(node int) Msg, listeners []int, lid uint32) []Delivery {
-	if len(txs) == 0 || e.ctl.ImpureReception {
-		// Fault injection makes reception round-dependent: every round is
-		// genuinely new physics, so the memo never captures or replays.
-		return e.Step(txs, msgOf, listeners)
+	txs = e.beginRound(txs)
+	if len(txs) == 0 {
+		return nil
 	}
 	m := &e.memo
 	if m.hashes == nil {
@@ -208,26 +256,10 @@ func (e *Env) StepMemo(txs []int, msgOf func(node int) Msg, listeners []int, lid
 	key := intsHash(uint64(lid)*0xc2b2ae3d27d4eb4f+14695981039346656037, txs)
 	slot := m.roundSlot(key, lid, txs)
 	if s := m.slots[slot]; s != 0 {
-		return e.stepReplay(txs, m.rounds[s-1].recs, msgOf)
+		e.recBuf = m.recall(s, e.recBuf[:0])
+	} else {
+		e.recBuf = e.phys.Deliver(txs, listeners, e.recBuf[:0])
+		m.capture(slot, key, lid, txs, e.recBuf)
 	}
-	ds := e.Step(txs, msgOf, listeners)
-	if m.entries+len(txs)+len(ds) > m.budget {
-		m.reset()
-		slot = m.roundSlot(key, lid, txs)
-	}
-	en := roundMemoEntry{key: key, lid: lid, txs: m.allocTxs(len(txs)), recs: m.allocRecs(len(ds))}
-	for k, v := range txs {
-		en.txs[k] = int32(v)
-	}
-	for _, d := range ds {
-		en.recs = append(en.recs, sinr.Reception{Receiver: d.Receiver, Sender: d.Sender})
-	}
-	m.rounds = append(m.rounds, en)
-	m.hashes[slot] = key
-	m.slots[slot] = int32(len(m.rounds))
-	m.entries += len(txs) + len(ds)
-	if 2*len(m.rounds) >= len(m.hashes) {
-		m.growRounds()
-	}
-	return ds
+	return e.deliver(txs, e.recBuf, msgOf)
 }

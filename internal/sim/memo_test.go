@@ -80,3 +80,14 @@ func TestMemoEmptiedWhenFull(t *testing.T) {
 		t.Error("repeat of a recaptured round reached the engine, want a memo hit")
 	}
 }
+
+// countEngine counts physical-layer Deliver calls to observe memoization.
+type countEngine struct {
+	sinr.Engine
+	calls int
+}
+
+func (c *countEngine) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr.Reception {
+	c.calls++
+	return c.Engine.Deliver(txs, listeners, dst)
+}

@@ -72,13 +72,18 @@ type StopChecker interface {
 	SetStopCheck(fn func() error)
 }
 
-// RoundAware is implemented by engine layers whose Deliver semantics depend
-// on the absolute round number — the fault-injection decorator. The
-// execution environment calls SetRound with the new round number before each
-// Deliver; engines that are pure functions of the transmitter set simply
-// don't implement it.
-type RoundAware interface {
-	SetRound(round int64)
+// RoundFilter is implemented by engine decorators whose receptions are the
+// inner engine's fault-free receptions minus a round-dependent subset — the
+// fault-injection layer. The execution environment computes (or recalls
+// from its reception memo) the fault-free outcome on Unwrap() and applies
+// Filter with the round number on top, so the memo holds pure physics only.
+type RoundFilter interface {
+	// Unwrap returns the decorated engine.
+	Unwrap() Engine
+	// Filter appends to dst the receptions in recs — the inner engine's
+	// outcome for transmitters — that survive the faults of the given
+	// round, in order. It never writes to recs.
+	Filter(round int64, transmitters []int, recs, dst []Reception) []Reception
 }
 
 // deliverAbort carries a mid-round cancellation out of Deliver. Engines

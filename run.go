@@ -387,14 +387,10 @@ func (n *Network) Run(ctx context.Context, task Task, opts ...RunOption) (*Resul
 	defer n.releaseEngine(eng)
 	runEng := eng
 	var nodeFaults sim.NodeFaults
-	impure := false
 	if rc.faults != nil && !rc.faults.Empty() {
 		if err := rc.faults.Validate(n.Len(), true); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadOption, err)
 		}
-		// Reception becomes round-dependent, so the reception memo must
-		// see every round as new physics.
-		impure = true
 		if rc.faults.EngineFaults() {
 			runEng = fault.Wrap(eng, rc.faults)
 		}
@@ -413,7 +409,6 @@ func (n *Network) Run(ctx context.Context, task Task, opts ...RunOption) (*Resul
 		DisableFastForward: rc.noFastForward,
 		NodeFaults:         nodeFaults,
 		StallWindow:        rc.stallWindow,
-		ImpureReception:    impure,
 	})
 
 	res := &Result{Algorithm: task.Name()}

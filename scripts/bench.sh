@@ -35,14 +35,14 @@ go test -bench=. -benchtime=1x -benchmem -run='^$' ./... | tee "$raw"
 # compares like-for-like low-noise samples.
 gated="$(mktemp)"
 { go test -bench='^(BenchmarkDeliver|BenchmarkDeliverTx|BenchmarkDeliverDense|BenchmarkRunOverhead)$' -benchtime=20x -benchmem -count=3 -run='^$' . ./internal/sinr/
-  go test -bench='^BenchmarkClustering$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$' -benchtime=5x -benchmem -count=3 -run='^$' .
+  go test -bench='^BenchmarkClustering$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkRunFaulted$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$' -benchtime=5x -benchmem -count=3 -run='^$' .
   go test -bench='^BenchmarkAlgorithmSteadyState$' -benchtime=2000x -benchmem -count=3 -run='^$' .
 } |
     tee /dev/stderr |
     awk '/^Benchmark/ { name = $1
          if (!(name in best) || $3 + 0 < best[name] + 0) { best[name] = $3; line[name] = $0 } }
          END { for (n in line) print line[n] }' > "$gated"
-grep -vE '^Benchmark(Deliver/|DeliverTx/|DeliverDense/|RunOverhead/|Clustering/|Table1/ours/|AlgorithmSteadyState|GlobalBroadcastStrip/)' "$raw" > "$raw.filtered"
+grep -vE '^Benchmark(Deliver/|DeliverTx/|DeliverDense/|RunOverhead/|Clustering/|Table1/ours/|AlgorithmSteadyState|GlobalBroadcastStrip/|RunFaulted/)' "$raw" > "$raw.filtered"
 cat "$raw.filtered" "$gated" > "$raw"
 rm -f "$raw.filtered" "$gated"
 

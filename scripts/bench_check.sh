@@ -9,7 +9,8 @@
 # BenchmarkDeliverDense, BenchmarkRunOverhead) at
 # -benchtime=20x -count=3, plus the small-n algorithm-layer tier
 # (BenchmarkClustering at n∈{48,256}, BenchmarkTable1/ours at n∈{48,256},
-# BenchmarkGlobalBroadcastStrip at n=500) at -benchtime=5x -count=3, and
+# BenchmarkGlobalBroadcastStrip at n=500, BenchmarkRunFaulted) at
+# -benchtime=5x -count=3, and
 # BenchmarkAlgorithmSteadyState at -benchtime=2000x -count=3, takes the
 # per-benchmark minimum (the noise on a
 # shared runner is one-sided), and compares each ns_per_op against a
@@ -38,9 +39,11 @@ gate_regex='^(BenchmarkDeliver|BenchmarkDeliverTx|BenchmarkDeliverDense|Benchmar
 # Small-n algorithm-layer tier (root package only): end-to-end clustering and
 # local broadcast at n∈{48,256}, global broadcast along a strip at n=500 (its
 # many small per-phase constructions expose per-phase work that scales with
-# n). The second regex element constrains BenchmarkTable1 to its ours/ rows
-# (the baselines are not gated).
-smalln_regex='^BenchmarkClustering$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$'
+# n), and a faulted local broadcast on clumps with 5% drops (the reception
+# memo with per-round fault filtering on top). The second regex element
+# constrains BenchmarkTable1 to its ours/ rows (the baselines are not gated),
+# so every gated row's first sub-benchmark level must match it.
+smalln_regex='^BenchmarkClustering$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkRunFaulted$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$'
 # The warmed-pass allocation gate runs ~0.1 ms per op: at 5x its min-of-3
 # swung between 88 and 205 µs with unchanged code, so it gets 2000x.
 steady_regex='^BenchmarkAlgorithmSteadyState$'
