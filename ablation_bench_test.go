@@ -28,10 +28,7 @@ func BenchmarkAblationMIS(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := net.Cluster()
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := mustRun(b, net, Clustering()).Cluster
 				rounds = res.Stats.Rounds
 			}
 			b.ReportMetric(float64(rounds), "rounds")
@@ -53,10 +50,7 @@ func BenchmarkAblationEarlyStop(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := net.Cluster()
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := mustRun(b, net, Clustering()).Cluster
 				rounds = res.Stats.Rounds
 			}
 			b.ReportMetric(float64(rounds), "rounds")
@@ -80,10 +74,7 @@ func BenchmarkAblationWCSSFactor(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := net.Cluster()
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := mustRun(b, net, Clustering()).Cluster
 				rounds = res.Stats.Rounds
 			}
 			b.ReportMetric(float64(rounds), "rounds")
@@ -107,10 +98,7 @@ func BenchmarkAblationKappa(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := net.Cluster()
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := mustRun(b, net, Clustering()).Cluster
 				rounds = res.Stats.Rounds
 			}
 			b.ReportMetric(float64(rounds), "rounds")
@@ -132,10 +120,7 @@ func BenchmarkAblationRadiusIters(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := net.Cluster()
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := mustRun(b, net, Clustering()).Cluster
 				rounds = res.Stats.Rounds
 			}
 			b.ReportMetric(float64(rounds), "rounds")
@@ -160,10 +145,7 @@ func BenchmarkAblationTopology(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := net.Cluster()
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := mustRun(b, net, Clustering()).Cluster
 				rounds = res.Stats.Rounds
 			}
 			b.ReportMetric(float64(rounds), "rounds")

@@ -1,11 +1,9 @@
-// Legacy blocking entry points, kept as thin wrappers over Run so existing
-// callers compile unchanged and produce identical results. New code should
-// prefer Run, which adds context cancellation, round budgets and observers.
+// Result types of the tasks Network.Run executes, and the checks that
+// re-validate a clustering against the paper's conditions.
 
 package dcluster
 
 import (
-	"context"
 	"fmt"
 
 	"dcluster/internal/analysis"
@@ -45,19 +43,6 @@ type ClusterResult struct {
 // NumClusters returns the number of distinct clusters.
 func (r *ClusterResult) NumClusters() int { return len(r.Center) }
 
-// Cluster runs the deterministic distributed clustering (Alg. 6,
-// Theorem 1): every node ends in a cluster of radius ≤ 1, cluster centres
-// are pairwise ≥ 1−ε apart, and every unit ball meets O(1) clusters.
-//
-// Cluster is the legacy blocking form of Run(ctx, Clustering()).
-func (n *Network) Cluster() (*ClusterResult, error) {
-	res, err := n.Run(context.Background(), Clustering())
-	if err != nil {
-		return nil, err
-	}
-	return res.Cluster, nil
-}
-
 // LocalBroadcastResult is the output of LocalBroadcast (Theorem 2).
 type LocalBroadcastResult struct {
 	// Clustering used by the schedule.
@@ -81,19 +66,6 @@ func (r *LocalBroadcastResult) Complete(n *Network) bool {
 		}
 	}
 	return true
-}
-
-// LocalBroadcast runs Algorithm 7 (Theorem 2): every node delivers its
-// message to all communication-graph neighbours in O(∆·log N·log*N) rounds.
-//
-// LocalBroadcast is the legacy blocking form of Run with the package-level
-// LocalBroadcast task.
-func (n *Network) LocalBroadcast() (*LocalBroadcastResult, error) {
-	res, err := n.Run(context.Background(), LocalBroadcast())
-	if err != nil {
-		return nil, err
-	}
-	return res.Local, nil
 }
 
 // GlobalBroadcastResult is the output of global broadcast (Theorem 3).
@@ -120,28 +92,6 @@ func (r *GlobalBroadcastResult) Coverage() float64 {
 	return float64(c) / float64(n)
 }
 
-// GlobalBroadcast runs Algorithm 8 from a single source (Theorem 3):
-// O(D·(∆+log*N)·log N) rounds.
-//
-// GlobalBroadcast is the legacy blocking form of Run with the package-level
-// GlobalBroadcast task.
-func (n *Network) GlobalBroadcast(source int) (*GlobalBroadcastResult, error) {
-	return n.MultiSourceBroadcast([]int{source})
-}
-
-// MultiSourceBroadcast runs the sparse multiple-source broadcast: sources
-// must be pairwise farther than 1−ε apart.
-//
-// MultiSourceBroadcast is the legacy blocking form of Run with the
-// package-level MultiSourceBroadcast task.
-func (n *Network) MultiSourceBroadcast(sources []int) (*GlobalBroadcastResult, error) {
-	res, err := n.Run(context.Background(), MultiSourceBroadcast(sources))
-	if err != nil {
-		return nil, err
-	}
-	return res.Broadcast, nil
-}
-
 // LeaderResult is the output of leader election (Theorem 5).
 type LeaderResult struct {
 	// Leader is the elected node index, LeaderID its protocol ID.
@@ -153,19 +103,6 @@ type LeaderResult struct {
 	Stats Stats
 }
 
-// ElectLeader runs the Theorem 5 protocol: clustering condenses the network
-// to its centres; binary search over the ID space elects the minimum-ID
-// centre in O(D·(∆+log*N)·log²N) rounds.
-//
-// ElectLeader is the legacy blocking form of Run(ctx, ElectLeader()).
-func (n *Network) ElectLeader() (*LeaderResult, error) {
-	res, err := n.Run(context.Background(), ElectLeader())
-	if err != nil {
-		return nil, err
-	}
-	return res.Leader, nil
-}
-
 // WakeUpResult is the output of the wake-up protocol (Theorem 4).
 type WakeUpResult struct {
 	// AwakeRound[i]: round node i became active, or -1.
@@ -174,20 +111,6 @@ type WakeUpResult struct {
 	Epochs int
 	// Stats of the execution.
 	Stats Stats
-}
-
-// WakeUp runs the Theorem 4 protocol: spontaneousAt[i] is the round node i
-// wakes spontaneously (-1 = only by message). All nodes are activated in
-// O(D·(∆+log*N)·log N) rounds after the first spontaneous wake-up.
-//
-// WakeUp is the legacy blocking form of Run with the package-level WakeUp
-// task.
-func (n *Network) WakeUp(spontaneousAt []int64) (*WakeUpResult, error) {
-	res, err := n.Run(context.Background(), WakeUp(spontaneousAt))
-	if err != nil {
-		return nil, err
-	}
-	return res.Wake, nil
 }
 
 // ClusterStats summarises a clustering for reporting: sizes, max radius,

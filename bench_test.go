@@ -64,10 +64,7 @@ func BenchmarkTable1(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := net.LocalBroadcast()
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := mustRun(b, net, LocalBroadcast()).Local
 				rounds = res.Stats.Rounds
 			}
 			b.ReportMetric(float64(rounds), "rounds")
@@ -83,10 +80,7 @@ func BenchmarkTable1(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := net.LocalBroadcast()
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := mustRun(b, net, LocalBroadcast()).Local
 				rounds = res.Stats.Rounds
 			}
 			b.ReportMetric(float64(rounds), "rounds")
@@ -146,10 +140,7 @@ func BenchmarkTable2(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := net.GlobalBroadcast(0)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := mustRun(b, net, GlobalBroadcast(0)).Broadcast
 			if res.Coverage() < 1 {
 				b.Fatalf("coverage %.2f", res.Coverage())
 			}
@@ -211,10 +202,7 @@ func BenchmarkFig1PhaseTrace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := net.GlobalBroadcast(0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := mustRun(b, net, GlobalBroadcast(0)).Broadcast
 		phases = len(res.PhaseTrace)
 		rounds = res.Stats.Rounds
 	}
@@ -474,10 +462,7 @@ func BenchmarkClustering(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res, err := net.Cluster()
-					if err != nil {
-						b.Fatal(err)
-					}
+					res := mustRun(b, net, Clustering()).Cluster
 					rounds = res.Stats.Rounds
 					clusters = res.NumClusters()
 				}
@@ -542,10 +527,7 @@ func BenchmarkLeaderElection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := net.ElectLeader()
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := mustRun(b, net, ElectLeader()).Leader
 		rounds = res.Stats.Rounds
 	}
 	b.ReportMetric(float64(rounds), "rounds")

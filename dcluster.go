@@ -55,11 +55,6 @@
 // A Network is safe for concurrent Run calls: the engine's model data is
 // shared immutably, and each run borrows a pooled per-run engine session.
 //
-// The legacy blocking methods — net.Cluster(), net.LocalBroadcast(),
-// net.GlobalBroadcast(src), net.MultiSourceBroadcast(srcs), net.WakeUp(...),
-// net.ElectLeader() — remain as thin wrappers over Run and produce
-// identical results; new code should call Run directly.
-//
 // For large instances, force the sparse engine:
 //
 //	net, err := dcluster.NewNetwork(pts, dcluster.WithEngine(dcluster.EngineSparse))

@@ -1,8 +1,20 @@
 package dcluster
 
 import (
+	"context"
 	"testing"
 )
+
+// mustRun executes task on net with a background context and stops the
+// test or benchmark on error.
+func mustRun(tb testing.TB, net *Network, task Task) *Result {
+	tb.Helper()
+	res, err := net.Run(context.Background(), task)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
 
 func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(nil); err == nil {
@@ -48,10 +60,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := net.Cluster()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, net, Clustering()).Cluster
 	if err := net.ValidateClustering(res); err != nil {
 		t.Error(err)
 	}
@@ -69,10 +78,7 @@ func TestLocalBroadcastEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := net.LocalBroadcast()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, net, LocalBroadcast()).Local
 	if !res.Complete(net) {
 		t.Error("local broadcast incomplete")
 	}
@@ -84,10 +90,7 @@ func TestGlobalBroadcastEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := net.GlobalBroadcast(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, net, GlobalBroadcast(0)).Broadcast
 	if res.Coverage() != 1 {
 		t.Errorf("coverage = %v, want 1", res.Coverage())
 	}
@@ -102,7 +105,7 @@ func TestMultiSourceValidatesSparsity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.MultiSourceBroadcast([]int{0, 1}); err == nil {
+	if _, err := net.Run(context.Background(), MultiSourceBroadcast([]int{0, 1})); err == nil {
 		t.Error("close sources must be rejected")
 	}
 }
@@ -113,10 +116,7 @@ func TestElectLeaderEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := net.ElectLeader()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, net, ElectLeader()).Leader
 	if res.Leader < 0 || res.Leader >= net.Len() {
 		t.Errorf("leader index %d out of range", res.Leader)
 	}
@@ -133,10 +133,7 @@ func TestWakeUpEndToEnd(t *testing.T) {
 		spont[i] = -1
 	}
 	spont[2] = 0
-	res, err := net.WakeUp(spont)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, net, WakeUp(spont)).Wake
 	for i, r := range res.AwakeRound {
 		if r < 0 {
 			t.Errorf("node %d never woke", i)
@@ -151,10 +148,7 @@ func TestWithIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := net.Cluster()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, net, Clustering()).Cluster
 	for id := range res.Center {
 		found := false
 		for _, x := range ids {
@@ -175,10 +169,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := net.Cluster()
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, net, Clustering()).Cluster
 		return res.Stats
 	}
 	if a, b := run(), run(); a != b {
@@ -223,14 +214,8 @@ func TestClusterEngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := dense.Cluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := sparse.Cluster()
-	if err != nil {
-		t.Fatal(err)
-	}
+	dres := mustRun(t, dense, Clustering()).Cluster
+	sres := mustRun(t, sparse, Clustering()).Cluster
 	if dres.Stats != sres.Stats {
 		t.Errorf("stats diverge: dense %+v sparse %+v", dres.Stats, sres.Stats)
 	}

@@ -40,10 +40,7 @@ func TestClusterAcrossTopologiesAndSeeds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := net.Cluster()
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := mustRun(t, net, Clustering()).Cluster
 				if err := net.ValidateClustering(res); err != nil {
 					t.Error(err)
 				}
@@ -68,10 +65,7 @@ func TestLocalBroadcastAcrossTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := net.LocalBroadcast()
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustRun(t, net, LocalBroadcast()).Local
 			if !res.Complete(net) {
 				t.Error("local broadcast incomplete")
 			}
@@ -98,10 +92,7 @@ func TestGlobalBroadcastFromEveryCorner(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := net.GlobalBroadcast(src)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustRun(t, net, GlobalBroadcast(src)).Broadcast
 			if res.Coverage() != 1 {
 				t.Errorf("coverage %.2f from source %d", res.Coverage(), src)
 			}
@@ -128,10 +119,7 @@ func TestAlternativeSINRParameters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := net.Cluster()
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustRun(t, net, Clustering()).Cluster
 			if err := net.ValidateClustering(res); err != nil {
 				t.Error(err)
 			}
@@ -147,10 +135,7 @@ func TestEnergyBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := net.Cluster()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, net, Clustering()).Cluster
 	if res.Stats.MaxNodeTx <= 0 {
 		t.Fatal("expected positive per-node transmissions")
 	}
@@ -170,10 +155,7 @@ func TestLeaderConsistentAcrossIDAssignments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := net.ElectLeader()
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, net, ElectLeader()).Leader
 		if res.LeaderID != ids[res.Leader] {
 			t.Errorf("leader id %d but node %d has id %d", res.LeaderID, res.Leader, ids[res.Leader])
 		}
@@ -211,10 +193,7 @@ func TestTheoreticalConfigSmallInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := net.Cluster()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, net, Clustering()).Cluster
 	if err := net.ValidateClustering(res); err != nil {
 		t.Error(err)
 	}

@@ -20,10 +20,9 @@ import (
 //
 // The decorator implements sinr.RoundFilter: the execution environment
 // computes the fault-free receptions on the inner engine (or recalls them
-// from its reception memo) and applies Filter with the round number. Query
-// methods (SINR, Receives, Deliver) answer for the round of the latest
-// Filter call; Gain, Distance and CommGraph describe the fault-free
-// geometry.
+// from its reception memo) and applies Filter with the round number.
+// Deliver answers for the round of the latest Filter call; Gain, Distance
+// and CommGraph describe the fault-free geometry.
 type Engine struct {
 	inner sinr.Engine
 	spec  *Spec
@@ -82,8 +81,8 @@ func (e *Engine) Deliver(transmitters []int, listeners []int, dst []sinr.Recepti
 // Filter implements sinr.RoundFilter: it appends to dst the receptions in
 // recs (the inner engine's outcome for transmitters) that still clear the
 // SINR threshold under the round's spiked noise and jammer interference and
-// whose drop coins land on "keep". The round becomes the one the query
-// methods answer for.
+// whose drop coins land on "keep". The round becomes the one Deliver
+// answers for.
 func (e *Engine) Filter(round int64, transmitters []int, recs, dst []sinr.Reception) []sinr.Reception {
 	e.round = round
 	noiseF := e.spec.noiseFactorAt(round)
@@ -118,50 +117,6 @@ func (e *Engine) Filter(round int64, transmitters []int, recs, dst []sinr.Recept
 		dst = append(dst, rec)
 	}
 	return dst
-}
-
-// SINR implements sinr.Engine: Eq. (1) at the current round, with the
-// round's noise spike and jammer interference included.
-func (e *Engine) SINR(v, u int, txs []int) float64 {
-	r := e.round
-	interference := e.spec.jamGain(r, e.positionOf(u), e.inner.Params())
-	seen := false
-	for _, w := range txs {
-		if w == v {
-			seen = true
-			continue
-		}
-		interference += e.inner.Gain(w, u)
-	}
-	if !seen {
-		return 0
-	}
-	p := e.inner.Params()
-	return e.inner.Gain(v, u) / (e.spec.noiseFactorAt(r)*p.Noise + interference)
-}
-
-// Receives implements sinr.Engine: the current round's reception predicate,
-// drop coins included.
-func (e *Engine) Receives(v, u int, txs []int) bool {
-	for _, w := range txs {
-		if w == u {
-			return false
-		}
-	}
-	if e.SINR(v, u, txs) < e.inner.Params().Beta {
-		return false
-	}
-	return e.spec.keep(e.round, v, u)
-}
-
-// positionOf returns u's position, or the origin when the inner engine has
-// no coordinates (jammers are rejected by Validate in that case, so the
-// value is never used).
-func (e *Engine) positionOf(u int) geom.Point {
-	if pos := e.inner.Positions(); pos != nil {
-		return pos[u]
-	}
-	return geom.Pt(0, 0)
 }
 
 // Compile-time checks: the decorator is a full engine with cancellation and

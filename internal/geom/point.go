@@ -39,11 +39,6 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Norm returns the Euclidean norm of p viewed as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
-// InBall reports whether p lies in the closed ball B(c, r).
-func InBall(p, c Point, r float64) bool {
-	return Dist2(p, c) <= r*r
-}
-
 // BoundingBox returns the axis-aligned bounding box of pts. It returns
 // zero-value points for an empty slice.
 func BoundingBox(pts []Point) (min, max Point) {

@@ -48,9 +48,6 @@ func (w *WCSS) Len() int { return w.m }
 // K returns the per-cluster selectivity parameter.
 func (w *WCSS) K() int { return w.k }
 
-// L returns the conflicting-clusters parameter.
-func (w *WCSS) L() int { return w.l }
-
 // ClusterAllowed reports whether cluster φ is in the allowed set C_i.
 func (w *WCSS) ClusterAllowed(round, cluster int) bool {
 	return pick(w.seed, round, cluster, saltWCSSCluster, w.l)

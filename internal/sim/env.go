@@ -110,7 +110,6 @@ type Env struct {
 	phys   sinr.Engine
 	filter sinr.RoundFilter
 
-	txBuf   []int
 	recBuf  []sinr.Reception // fault-free receptions of the current round
 	recFilt []sinr.Reception // the current round's receptions after faults
 	delBuf  []Delivery
@@ -434,12 +433,6 @@ func (e *Env) NextActive(r int64) {
 		e.ctl.Observer.OnRound(e.rounds, 0, 0)
 	}
 }
-
-// TxBuf returns a reusable scratch slice for building transmitter sets.
-func (e *Env) TxBuf() []int { return e.txBuf[:0] }
-
-// SetTxBuf stores the scratch slice back (callers may grow it).
-func (e *Env) SetTxBuf(b []int) { e.txBuf = b }
 
 // PassBuf returns the execution's shared delivery-accumulation buffer,
 // reset to length zero. Schedule executors collect one full pass's

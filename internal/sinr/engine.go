@@ -3,8 +3,9 @@ package sinr
 import "dcluster/internal/geom"
 
 // Engine is the physical-medium abstraction shared by every simulator layer:
-// a fixed set of nodes whose pairwise received powers follow the SINR model,
-// answering "who received whom" queries for arbitrary transmitter sets.
+// a fixed set of nodes whose pairwise received powers follow the SINR model.
+// Deliver is its one reception query: it answers "who received whom" for a
+// whole round's transmitter set.
 //
 // Two implementations exist:
 //
@@ -45,11 +46,6 @@ type Engine interface {
 	// concurrently with each other; a single session is confined to one
 	// execution at a time, like the engine itself.
 	Session() Engine
-	// SINR returns the signal-to-interference-and-noise ratio at u for
-	// sender v given the full transmitter set txs (which must contain v).
-	SINR(v, u int, txs []int) float64
-	// Receives reports whether u receives v's message when txs transmit.
-	Receives(v, u int, txs []int) bool
 	// CommGraph returns adjacency lists of the communication graph: edges
 	// between nodes at distance ≤ (1−ε)·range.
 	CommGraph() [][]int
@@ -115,9 +111,9 @@ const stopStride = 255
 // exported for the fault layer's jammer interference terms.
 func GainAt(p Params, d float64) float64 { return gainAt(p, d) }
 
-// sinrOf is the shared Eq. (1) computation behind both engines' SINR
-// methods: the ratio at u for sender v given the full transmitter set txs
-// (which must contain v).
+// sinrOf is the Eq. (1) reference the tests check every Deliver path
+// against: the signal-to-interference-and-noise ratio at u for sender v
+// given the full transmitter set txs (which must contain v).
 func sinrOf(f Engine, v, u int, txs []int) float64 {
 	var interference float64
 	seen := false
@@ -134,8 +130,8 @@ func sinrOf(f Engine, v, u int, txs []int) float64 {
 	return f.Gain(v, u) / (f.Params().Noise + interference)
 }
 
-// receivesOf is the shared reception predicate behind both engines'
-// Receives methods (half-duplex: false if u ∈ txs).
+// receivesOf is the reference reception predicate: u receives v's message
+// when txs transmit (half-duplex: false if u ∈ txs).
 func receivesOf(f Engine, v, u int, txs []int) bool {
 	for _, w := range txs {
 		if w == u {

@@ -135,7 +135,8 @@ func TestPropertyEquivalenceTightFarRadius(t *testing.T) {
 }
 
 // TestSparseMatchesDensePointQueries checks the lazy point queries (Gain,
-// Distance, SINR, Receives, CommGraph) against the dense precomputation.
+// Distance, CommGraph), and the Eq. (1) reference built on Gain, against
+// the dense precomputation.
 func TestSparseMatchesDensePointQueries(t *testing.T) {
 	pts := geom.UniformDisk(128, 4, 3)
 	params := DefaultParams()
@@ -156,10 +157,10 @@ func TestSparseMatchesDensePointQueries(t *testing.T) {
 			if dense.Distance(v, u) != sparse.Distance(v, u) {
 				t.Fatalf("Distance(%d,%d) mismatch", v, u)
 			}
-			if dense.SINR(v, u, txs) != sparse.SINR(v, u, txs) {
+			if sinrOf(dense, v, u, txs) != sinrOf(sparse, v, u, txs) {
 				t.Fatalf("SINR(%d,%d) mismatch", v, u)
 			}
-			if dense.Receives(v, u, txs) != sparse.Receives(v, u, txs) {
+			if receivesOf(dense, v, u, txs) != receivesOf(sparse, v, u, txs) {
 				t.Fatalf("Receives(%d,%d) mismatch", v, u)
 			}
 		}

@@ -22,7 +22,7 @@ func TestPropertyAddingInterfererNeverHelps(t *testing.T) {
 			return true
 		}
 		base := []int{v}
-		if f.Receives(v, u, append(base, w)) && !f.Receives(v, u, base) {
+		if receivesOf(f, v, u, append(base, w)) && !receivesOf(f, v, u, base) {
 			return false // adding interference created a reception
 		}
 		return true
@@ -104,7 +104,7 @@ func TestPropertyAtMostOneDecodablePerReceiver(t *testing.T) {
 		for u := 0; u < f.N(); u++ {
 			decodable := 0
 			for _, v := range txs {
-				if f.Receives(v, u, txs) {
+				if receivesOf(f, v, u, txs) {
 					decodable++
 				}
 			}
@@ -123,7 +123,7 @@ func TestPropertyRangeBoundary(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := f.Receives(0, 1, []int{0})
+		got := receivesOf(f, 0, 1, []int{0})
 		return got == (d <= 1)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {

@@ -127,7 +127,7 @@ func TestSINRMatchesReceives(t *testing.T) {
 	txs := []int{0, 7, 13, 21}
 	for u := 0; u < f.N(); u++ {
 		for _, v := range txs {
-			want := f.SINR(v, u, txs) >= f.Params().Beta
+			want := sinrOf(f, v, u, txs) >= f.Params().Beta
 			isTx := false
 			for _, w := range txs {
 				if w == u {
@@ -137,7 +137,7 @@ func TestSINRMatchesReceives(t *testing.T) {
 			if isTx {
 				want = false
 			}
-			if got := f.Receives(v, u, txs); got != want {
+			if got := receivesOf(f, v, u, txs); got != want {
 				t.Fatalf("Receives(%d,%d) = %v, want %v", v, u, got, want)
 			}
 		}
@@ -156,7 +156,7 @@ func TestDeliverAgreesWithReceives(t *testing.T) {
 	for u := 0; u < f.N(); u++ {
 		var wantSender = -1
 		for _, v := range txs {
-			if f.Receives(v, u, txs) {
+			if receivesOf(f, v, u, txs) {
 				wantSender = v
 			}
 		}
@@ -191,7 +191,7 @@ func TestFewerTransmittersNeverHurts(t *testing.T) {
 	sub := []int{2, 11, 31}
 	for u := 0; u < f.N(); u++ {
 		for _, v := range sub {
-			if f.Receives(v, u, full) && !f.Receives(v, u, sub) {
+			if receivesOf(f, v, u, full) && !receivesOf(f, v, u, sub) {
 				t.Fatalf("reception %d->%d lost after removing interferers", v, u)
 			}
 		}

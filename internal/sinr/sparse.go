@@ -537,14 +537,6 @@ func (f *SparseField) Distance(v, u int) float64 {
 	return geom.Dist(f.pos[v], f.pos[u])
 }
 
-// SINR returns the signal-to-interference-and-noise ratio at u for sender v
-// given the full transmitter set txs (which must contain v), per Eq. (1).
-func (f *SparseField) SINR(v, u int, txs []int) float64 { return sinrOf(f, v, u, txs) }
-
-// Receives reports whether u receives v's message when txs transmit
-// (half-duplex: false if u ∈ txs).
-func (f *SparseField) Receives(v, u int, txs []int) bool { return receivesOf(f, v, u, txs) }
-
 // CommGraph returns adjacency lists of the communication graph: edges
 // between nodes at distance ≤ (1−ε)·range.
 func (f *SparseField) CommGraph() [][]int {

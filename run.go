@@ -152,9 +152,9 @@ func WithObserver(o Observer) RunOption {
 // caller's value may be reused or mutated freely. Repeating the option
 // fails the Run — two specs cannot be merged meaningfully.
 //
-// Runs with a non-empty spec bypass the reception memoization layers
-// (outcomes become round-dependent), so they cost more than fault-free runs
-// of the same instance; an empty spec is exactly a fault-free run.
+// Faults only remove receptions, so a faulted run still shares the
+// reception memo: the environment recalls the fault-free outcome and
+// filters it per round. An empty spec is exactly a fault-free run.
 func WithFaults(spec FaultSpec) RunOption {
 	s := spec.Clone() // snapshot now: the caller may mutate spec afterwards
 	return func(c *runConfig) {
@@ -417,8 +417,8 @@ func (n *Network) Run(ctx context.Context, task Task, opts ...RunOption) (*Resul
 	for _, m := range env.Marks() {
 		res.Marks = append(res.Marks, PhaseMark{Label: m.Label, Round: m.Round})
 	}
-	// The sub-results describe the same execution; mirror the stats into
-	// them for the legacy accessors.
+	// The sub-results describe the same execution; bench/trace.go reads
+	// the stats from them, so mirror res.Stats into the one that is set.
 	switch {
 	case res.Cluster != nil:
 		res.Cluster.Stats = res.Stats

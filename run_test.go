@@ -1,6 +1,6 @@
 package dcluster
 
-// Tests for the Run session API: task/legacy equivalence, concurrent runs
+// Tests for the Run session API: the per-task Result contract, concurrent runs
 // on one shared Network (the -race suite exercises both engines), context
 // cancellation at round boundaries, deterministic round budgets, observer
 // callbacks, and fail-fast ID validation.
@@ -25,7 +25,10 @@ func runTestNet(t *testing.T, opts ...Option) *Network {
 	return net
 }
 
-func TestRunTasksMatchLegacy(t *testing.T) {
+// TestRunTaskResults pins the Result contract of every task: Algorithm is
+// the task name, exactly the task's own sub-result is set, and that
+// sub-result carries a copy of res.Stats (bench/trace.go reads it there).
+func TestRunTaskResults(t *testing.T) {
 	net := runTestNet(t)
 	spont := make([]int64, net.Len())
 	for i := range spont {
@@ -33,84 +36,57 @@ func TestRunTasksMatchLegacy(t *testing.T) {
 	}
 	spont[0] = 0
 
-	t.Run("clustering", func(t *testing.T) {
-		legacy, err := net.Cluster()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := net.Run(context.Background(), Clustering())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Algorithm != "clustering" {
-			t.Errorf("Algorithm = %q", res.Algorithm)
-		}
-		if !reflect.DeepEqual(legacy, res.Cluster) {
-			t.Error("Run(Clustering()) differs from legacy Cluster()")
-		}
-		if res.Stats != legacy.Stats {
-			t.Errorf("stats: run %+v legacy %+v", res.Stats, legacy.Stats)
-		}
-	})
+	for _, tc := range []struct {
+		task        Task
+		name, field string
+	}{
+		{Clustering(), "clustering", "Cluster"},
+		{LocalBroadcast(), "local-broadcast", "Local"},
+		{GlobalBroadcast(0), "global-broadcast", "Broadcast"},
+		{MultiSourceBroadcast([]int{0}), "multi-source-broadcast", "Broadcast"},
+		{WakeUp(spont), "wake-up", "Wake"},
+		{ElectLeader(), "leader-election", "Leader"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := mustRun(t, net, tc.task)
+			if res.Algorithm != tc.name {
+				t.Errorf("Algorithm = %q, want %q", res.Algorithm, tc.name)
+			}
+			subs := subResultStats(res)
+			st, ok := subs[tc.field]
+			if len(subs) != 1 || !ok {
+				t.Fatalf("sub-results set: %v, want only %s", subs, tc.field)
+			}
+			if st != res.Stats || res.Stats.Rounds <= 0 {
+				t.Errorf("%s.Stats = %+v, Result.Stats = %+v", tc.field, st, res.Stats)
+			}
+			if tc.name == "leader-election" && len(res.Marks) == 0 {
+				t.Error("leader election must record phase marks")
+			}
+		})
+	}
+}
 
-	t.Run("local-broadcast", func(t *testing.T) {
-		legacy, err := net.LocalBroadcast()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := net.Run(context.Background(), LocalBroadcast())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, res.Local) {
-			t.Error("Run(LocalBroadcast()) differs from legacy LocalBroadcast()")
-		}
-	})
-
-	t.Run("global-broadcast", func(t *testing.T) {
-		legacy, err := net.GlobalBroadcast(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := net.Run(context.Background(), GlobalBroadcast(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, res.Broadcast) {
-			t.Error("Run(GlobalBroadcast(0)) differs from legacy GlobalBroadcast(0)")
-		}
-	})
-
-	t.Run("wake-up", func(t *testing.T) {
-		legacy, err := net.WakeUp(spont)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := net.Run(context.Background(), WakeUp(spont))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, res.Wake) {
-			t.Error("Run(WakeUp()) differs from legacy WakeUp()")
-		}
-	})
-
-	t.Run("leader-election", func(t *testing.T) {
-		legacy, err := net.ElectLeader()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := net.Run(context.Background(), ElectLeader())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, res.Leader) {
-			t.Error("Run(ElectLeader()) differs from legacy ElectLeader()")
-		}
-		if len(res.Marks) == 0 {
-			t.Error("leader election must record phase marks")
-		}
-	})
+// subResultStats returns the Stats of every sub-result res carries, keyed
+// by Result field name.
+func subResultStats(res *Result) map[string]Stats {
+	subs := map[string]Stats{}
+	if res.Cluster != nil {
+		subs["Cluster"] = res.Cluster.Stats
+	}
+	if res.Local != nil {
+		subs["Local"] = res.Local.Stats
+	}
+	if res.Broadcast != nil {
+		subs["Broadcast"] = res.Broadcast.Stats
+	}
+	if res.Wake != nil {
+		subs["Wake"] = res.Wake.Stats
+	}
+	if res.Leader != nil {
+		subs["Leader"] = res.Leader.Stats
+	}
+	return subs
 }
 
 // TestConcurrentRuns hammers one shared Network with parallel Run calls on
