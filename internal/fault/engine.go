@@ -28,6 +28,7 @@ type Engine struct {
 	spec  *Spec
 	round int64
 	recs  []sinr.Reception // inner Deliver scratch
+	coins []dropCoin       // the Filter round's drop coins
 }
 
 // Wrap decorates inner with the spec's engine-level faults. The spec must
@@ -87,8 +88,12 @@ func (e *Engine) Filter(round int64, transmitters []int, recs, dst []sinr.Recept
 	e.round = round
 	noiseF := e.spec.noiseFactorAt(round)
 	jamming := e.spec.jammingAt(round)
-	dropping := len(e.spec.Drops) > 0
-	if noiseF == 1 && !jamming && !dropping {
+	coins, all := e.spec.dropCoins(round, e.coins[:0])
+	e.coins = coins
+	if all {
+		return dst
+	}
+	if noiseF == 1 && !jamming && len(coins) == 0 {
 		return append(dst, recs...)
 	}
 	p := e.inner.Params()
@@ -111,7 +116,7 @@ func (e *Engine) Filter(round int64, transmitters []int, recs, dst []sinr.Recept
 				continue
 			}
 		}
-		if dropping && !e.spec.keep(round, rec.Sender, rec.Receiver) {
+		if !kept(coins, rec.Sender, rec.Receiver) {
 			continue
 		}
 		dst = append(dst, rec)

@@ -179,6 +179,36 @@ func TestDropCoins(t *testing.T) {
 	}
 }
 
+// TestDropCoinsHoisted pins the per-round hoisted coins Filter uses to the
+// reference keep, over overlapping windows with P ∈ {0, 0.05, 1}.
+func TestDropCoinsHoisted(t *testing.T) {
+	s := Spec{Seed: 7, Drops: []Drop{
+		{P: 0.05, Window: Window{From: 1, To: 40}},
+		{P: 0.05, Window: Window{From: 20, To: 60}},
+		{P: 0, Window: Window{From: 10, To: 50}},
+		{P: 1, Window: Window{From: 45, To: 50}},
+	}}
+	dropped := 0
+	for r := int64(1); r <= 70; r++ {
+		coins, all := s.dropCoins(r, nil)
+		for snd := 0; snd < 12; snd++ {
+			for rcv := 0; rcv < 12; rcv++ {
+				want := s.keep(r, snd, rcv)
+				if got := !all && kept(coins, snd, rcv); got != want {
+					t.Fatalf("round %d, %d→%d: hoisted coin keeps=%v, keep=%v", r, snd, rcv, got, want)
+				}
+				if !want {
+					dropped++
+				}
+			}
+		}
+	}
+	// 5 rounds drop everything; the P=0.05 windows drop a few more.
+	if dropped <= 5*144 {
+		t.Errorf("only %d receptions dropped", dropped)
+	}
+}
+
 func TestNoiseAndJamState(t *testing.T) {
 	s := Spec{
 		Noise: []NoiseSpike{

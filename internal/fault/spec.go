@@ -208,7 +208,9 @@ func (s *Spec) jammingAt(r int64) bool {
 // keep reports whether the (sender → receiver) reception of round r survives
 // every active drop window. The coin is a counter-based hash — a pure
 // function of (seed, window index, round, sender, receiver) — so outcomes
-// are independent of evaluation order and identical across engines.
+// are independent of evaluation order and identical across engines. keep
+// is the reference definition; Filter evaluates the same coins through
+// dropCoins and kept, which hoist the per-round part of the hash.
 func (s *Spec) keep(r int64, sender, receiver int) bool {
 	for i, d := range s.Drops {
 		if !d.Active(r) || d.P <= 0 {
@@ -222,6 +224,43 @@ func (s *Spec) keep(r int64, sender, receiver int) bool {
 		h = mix64(h ^ (uint64(uint32(sender))<<32 | uint64(uint32(receiver))))
 		// 53 high bits → uniform in [0,1).
 		if float64(h>>11)*(1.0/(1<<53)) < d.P {
+			return false
+		}
+	}
+	return true
+}
+
+// dropCoin is one drop window's coin for a fixed round: prefix is the part
+// of keep's hash that depends only on (seed, window, round).
+type dropCoin struct {
+	prefix uint64
+	p      float64
+}
+
+// dropCoins appends to dst the coin of every drop window active in round r
+// with 0 < P < 1, so that each reception of the round costs one mix64 per
+// window (see kept) instead of keep's four. all reports that an active
+// window has P ≥ 1, which drops every reception of the round.
+func (s *Spec) dropCoins(r int64, dst []dropCoin) (coins []dropCoin, all bool) {
+	for i, d := range s.Drops {
+		if !d.Active(r) || d.P <= 0 {
+			continue
+		}
+		if d.P >= 1 {
+			return dst, true
+		}
+		h := mix64(s.Seed ^ mix64(uint64(i)+0x51ed2701))
+		dst = append(dst, dropCoin{prefix: mix64(h ^ uint64(r)), p: d.P})
+	}
+	return dst, false
+}
+
+// kept is keep for the round whose coins dropCoins returned (with all
+// false).
+func kept(coins []dropCoin, sender, receiver int) bool {
+	pair := uint64(uint32(sender))<<32 | uint64(uint32(receiver))
+	for _, c := range coins {
+		if float64(mix64(c.prefix^pair)>>11)*(1.0/(1<<53)) < c.p {
 			return false
 		}
 	}

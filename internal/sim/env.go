@@ -116,6 +116,11 @@ type Env struct {
 	passBuf []Delivery
 	memo    envMemo
 
+	// Per-round message table: msgs[v] holds sender v's message of round
+	// msgRound[v] (see deliver).
+	msgs     []Msg
+	msgRound []int64
+
 	// derived caches execution-scoped derived structures (selector families,
 	// schedule-list caches, SNS instances) keyed by the parameters that
 	// determine them; see CacheGet.
@@ -284,6 +289,10 @@ func (e *Env) checkStop() {
 // nodes' receptions are computed (nil = all non-transmitters); restricting
 // listeners is a pure simulator optimisation and never changes protocol
 // behaviour, because omitted nodes would only have discarded the message.
+// msgOf is called once per round for each transmitter with at least one
+// reception, and never for the others, so it must be a pure function of
+// the node for the duration of the round; every delivery from that sender
+// carries the same Msg.
 //
 // The round counter advances even when txs is empty (silent rounds cost
 // time in the model too). The returned slice — including the Delivery values
@@ -322,18 +331,28 @@ func (e *Env) beginRound(txs []int) []int {
 
 // deliver applies the round's faults to its fault-free receptions recs
 // (computed live or recalled from the memo), turns the survivors into
-// deliveries in the pooled result buffer, building and validating each
-// message, and accounts the round: delivery statistics, the observer
-// callback and the stall watchdog.
+// deliveries in the pooled result buffer, and accounts the round: delivery
+// statistics, the observer callback and the stall watchdog. Each sender
+// with a surviving reception has its message built and validated once per
+// round, at its first reception, and every reception copies it from the
+// round's message table.
 func (e *Env) deliver(txs []int, recs []sinr.Reception, msgOf func(node int) Msg) []Delivery {
 	recs = e.applyFaults(txs, recs)
+	if e.msgs == nil && len(recs) > 0 {
+		e.msgs = make([]Msg, len(e.IDs))
+		e.msgRound = make([]int64, len(e.IDs))
+	}
 	out := e.delBuf[:0]
 	for _, r := range recs {
-		m := msgOf(r.Sender)
-		if err := m.Validate(); err != nil {
-			panic(err) // programming error: oversized message
+		v := r.Sender
+		if e.msgRound[v] != e.rounds {
+			m := msgOf(v)
+			if err := m.Validate(); err != nil {
+				panic(err) // programming error: oversized message
+			}
+			e.msgs[v], e.msgRound[v] = m, e.rounds
 		}
-		out = append(out, Delivery{Receiver: r.Receiver, Sender: r.Sender, Msg: m})
+		out = append(out, Delivery{Receiver: r.Receiver, Sender: v, Msg: e.msgs[v]})
 	}
 	e.delBuf = out
 	e.stats.Deliveries += int64(len(out))

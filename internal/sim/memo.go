@@ -242,8 +242,9 @@ func (e *Env) InternListeners(listeners []int) uint32 {
 // (lid, transmitters) round has executed before, its captured fault-free
 // receptions are recalled, and otherwise the engine under the fault layer
 // computes them and they are captured. The round's faults then apply to
-// either, exactly as in Step, so results, statistics and observer behaviour
-// are byte-identical to Step.
+// either, exactly as in Step, so results, statistics, observer behaviour and
+// the msgOf calls (once per sender with a surviving reception) are
+// byte-identical to Step.
 func (e *Env) StepMemo(txs []int, msgOf func(node int) Msg, listeners []int, lid uint32) []Delivery {
 	txs = e.beginRound(txs)
 	if len(txs) == 0 {

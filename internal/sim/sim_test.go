@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,6 +82,45 @@ func TestStepCountsRounds(t *testing.T) {
 	st := e.Stats()
 	if st.Rounds != 2 || st.Transmissions != 1 || st.Deliveries != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestMessageBuiltOncePerSender checks that a round builds each sender's
+// message once, only for senders with a reception, and that the deliveries
+// equal those built with one msgOf call per reception — through Step and
+// through StepMemo's capture and recall alike, across rounds whose messages
+// differ.
+func TestMessageBuiltOncePerSender(t *testing.T) {
+	// Two groups far apart: node 0 reaches 1–3, node 4 reaches 5–6; node 7
+	// reaches no one.
+	e := testEnv(t, 0, 0, 0.3, 0, -0.3, 0, 0, 0.3, 10, 0, 10.3, 0, 9.7, 0, 50, 0)
+	txs := []int{0, 4, 7}
+	msg := func(round int64, v int) Msg {
+		return Msg{Kind: KindPayload, From: int32(e.IDs[v]), A: int32(round), List: []int32{int32(v), int32(round)}}
+	}
+	lid := e.InternListeners(nil)
+	for round := 1; round <= 4; round++ {
+		calls := map[int]int{}
+		msgOf := func(v int) Msg {
+			calls[v]++
+			return msg(e.Rounds(), v)
+		}
+		var got []Delivery
+		if round%2 == 1 {
+			got = e.Step(txs, msgOf, nil)
+		} else {
+			got = e.StepMemo(txs, msgOf, nil, lid)
+		}
+		var want []Delivery
+		for _, r := range e.F.Deliver(txs, nil, nil) {
+			want = append(want, Delivery{Receiver: r.Receiver, Sender: r.Sender, Msg: msg(e.Rounds(), r.Sender)})
+		}
+		if len(got) != 5 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: deliveries %+v, want %+v", round, got, want)
+		}
+		if len(calls) != 2 || calls[0] != 1 || calls[4] != 1 {
+			t.Fatalf("round %d: msgOf calls %v, want one each for nodes 0 and 4", round, calls)
+		}
 	}
 }
 

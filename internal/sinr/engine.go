@@ -9,7 +9,8 @@ import "dcluster/internal/geom"
 //
 // Two implementations exist:
 //
-//   - Field precomputes the dense 8·n² gain matrix. O(1) gain lookups and the
+//   - Field precomputes the dense n×n gain matrix (8·n² bytes, each node
+//     pair computed once, filled in parallel tiles). O(1) gain lookups and the
 //     fastest per-round Deliver at small n, but memory-bound: a few thousand
 //     nodes is the practical ceiling. It is also the only engine that accepts
 //     an explicit distance matrix (NewFieldFromDistances), which the

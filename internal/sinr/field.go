@@ -3,6 +3,8 @@ package sinr
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"dcluster/internal/geom"
 )
@@ -13,6 +15,10 @@ func pow(x, a float64) float64 { return math.Pow(x, a) }
 // precomputed pairwise received-power gains G[v][u] = P / d(v,u)^α.
 // A Field answers "who received whom" queries for arbitrary transmitter
 // sets; it performs no protocol logic.
+//
+// Every node has the same power, so the gains of a geometric field are
+// symmetric: NewField computes each node pair once and mirrors it, in
+// cache-sized tiles spread over GOMAXPROCS workers (see fillGains).
 //
 // The gain matrix costs 8·n² bytes and Deliver scans every transmitter per
 // listener, so Field is the engine of choice up to a few thousand nodes:
@@ -53,16 +59,75 @@ func NewField(params Params, pos []geom.Point) (*Field, error) {
 	buf := make([]float64, n*n)
 	for v := 0; v < n; v++ {
 		f.gain[v] = buf[v*n : (v+1)*n]
-		for u := 0; u < n; u++ {
-			if u == v {
-				continue
-			}
-			d := geom.Dist(pos[v], pos[u])
-			f.gain[v][u] = gainAt(params, d)
-		}
 	}
+	fillGains(params, f.pos, buf, runtime.GOMAXPROCS(0))
 	f.lidx = newListenerIndex(newCellGeom(params.Range(), f.pos), f.pos)
 	return f, nil
+}
+
+// gainTile is the side of the square tiles fillGains works in: a tile's
+// scratch copy (8·128² bytes) stays in the core's cache between its
+// computation and the two copies out of it. Fields below parallelFillCutoff
+// nodes are filled by the calling goroutine alone.
+const (
+	gainTile           = 128
+	parallelFillCutoff = 256
+)
+
+// fillGains fills the row-major n×n gain matrix buf (zeroed, n = len(pos))
+// with gain[v][u] = gainAt(d(v,u)), computing each unordered pair once.
+// Every tile (I, J) with I ≤ J is computed for u > v into a scratch tile,
+// copied row by row into place and mirrored into tile (J, I). The mirror is
+// bit-exact because IEEE subtraction is antisymmetric and Hypot takes
+// absolute values, so Dist(a, b) == Dist(b, a). Tile row I goes to worker
+// I mod workers, which balances the shrinking rows of the upper triangle;
+// the entries each worker writes are disjoint. The diagonal stays 0.
+func fillGains(params Params, pos []geom.Point, buf []float64, workers int) {
+	n := len(pos)
+	side := min(gainTile, n)
+	tiles := (n + gainTile - 1) / gainTile
+	fillTileRow := func(ti int, tile []float64) {
+		v0, v1 := ti*gainTile, min((ti+1)*gainTile, n)
+		for tj := ti; tj < tiles; tj++ {
+			u0, u1 := tj*gainTile, min((tj+1)*gainTile, n)
+			for v := v0; v < v1; v++ {
+				t := tile[(v-v0)*side:]
+				lo := max(u0, v+1)
+				for u := lo; u < u1; u++ {
+					t[u-u0] = gainAt(params, geom.Dist(pos[v], pos[u]))
+				}
+				if lo < u1 {
+					copy(buf[v*n+lo:v*n+u1], t[lo-u0:u1-u0])
+				}
+			}
+			for u := u0; u < u1; u++ {
+				row := buf[u*n+v0 : u*n+min(v1, u)]
+				for i := range row {
+					row[i] = tile[i*side+u-u0]
+				}
+			}
+		}
+	}
+	if n < parallelFillCutoff {
+		workers = 1
+	}
+	workers = min(workers, tiles)
+	work := func(w int) {
+		tile := make([]float64, side*side)
+		for ti := w; ti < tiles; ti += workers {
+			fillTileRow(ti, tile)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0) // the calling goroutine is worker 0
+	wg.Wait()
 }
 
 // NewFieldFromDistances builds a field from an explicit symmetric distance

@@ -6,7 +6,8 @@
 #   scripts/bench_check.sh --git <base-ref> [threshold_pct]
 #
 # Runs the gated benchmarks (BenchmarkDeliver, BenchmarkDeliverTx,
-# BenchmarkDeliverDense, BenchmarkRunOverhead) at
+# BenchmarkDeliverDense, BenchmarkRunOverhead, and the dense engine's set-up
+# row BenchmarkEngineConstruction/dense/n=1024) at
 # -benchtime=20x -count=3, plus the small-n algorithm-layer tier
 # (BenchmarkClustering at n∈{48,256}, BenchmarkTable1/ours at n∈{48,256},
 # BenchmarkGlobalBroadcastStrip at n=500, BenchmarkRunFaulted) at
@@ -36,6 +37,9 @@ gate_pkgs=". ./internal/sinr/"
 # BenchmarkDeliverTx is the only gated sweep with sparse rounds at or below
 # smallTxCutoff transmitters (the certified direct scan).
 gate_regex='^(BenchmarkDeliver|BenchmarkDeliverTx|BenchmarkDeliverDense|BenchmarkRunOverhead)$'
+# Dense engine set-up: the n×n gain-matrix fill, gated at n=1024 only (the
+# n=4096 row takes ~0.1–0.3 s per op).
+construct_regex='^BenchmarkEngineConstruction$/^dense$/^n=1024$'
 # Small-n algorithm-layer tier (root package only): end-to-end clustering and
 # local broadcast at n∈{48,256}, global broadcast along a strip at n=500 (its
 # many small per-phase constructions expose per-phase work that scales with
@@ -59,6 +63,7 @@ cd "$(dirname "$0")/.."
 
 run_gated() { # run_gated <dir> <out> — per-benchmark min of 3 runs
     { (cd "$1" && go test -bench="$gate_regex" -benchtime=20x -benchmem -count=3 -run='^$' $gate_pkgs)
+      (cd "$1" && go test -bench="$construct_regex" -benchtime=20x -benchmem -count=3 -run='^$' ./internal/sinr/)
       (cd "$1" && go test -bench="$smalln_regex" -benchtime=5x -benchmem -count=3 -run='^$' .)
       (cd "$1" && go test -bench="$steady_regex" -benchtime=2000x -benchmem -count=3 -run='^$' .)
     } |
