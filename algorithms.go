@@ -16,8 +16,11 @@ import (
 type Stats struct {
 	Rounds        int64 // synchronous SINR rounds
 	Transmissions int64 // node-rounds spent transmitting
-	Deliveries    int64 // successful receptions
-	MaxNodeTx     int64 // per-node energy: most transmissions by one node
+	// Deliveries counts successful receptions at the listeners a protocol
+	// reads: a message with one addressee (a proximity confirmation, a
+	// sparsification choose message) counts only at that addressee.
+	Deliveries int64
+	MaxNodeTx  int64 // per-node energy: most transmissions by one node
 }
 
 func statsOf(e *sim.Env) Stats {

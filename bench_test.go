@@ -445,8 +445,26 @@ func floodDeterministic(chain *lowerbound.Chain, f *sinr.Field, sched lowerbound
 
 // BenchmarkClustering measures Theorem 1's cost across a density sweep (E9).
 // The bare delta= variants are the historical n=48 rows; the n=256 tier backs
-// the bench_check small-n algorithm-layer gate.
+// the bench_check small-n algorithm-layer gate, and the sparse/n=512 row gates
+// the sparse engine end to end, on a uniform disk of radius √n/5 (the shape
+// of the cluster-disk-512-sparse benchmark workload).
 func BenchmarkClustering(b *testing.B) {
+	b.Run("sparse/n=512", func(b *testing.B) {
+		pts := UniformDisk(512, math.Sqrt(512)/5, 7)
+		var rounds int64
+		var clusters int
+		for i := 0; i < b.N; i++ {
+			net, err := NewNetwork(pts, WithEngine(EngineSparse))
+			if err != nil {
+				b.Fatal(err)
+			}
+			res := mustRun(b, net, Clustering()).Cluster
+			rounds = res.Stats.Rounds
+			clusters = res.NumClusters()
+		}
+		b.ReportMetric(float64(rounds), "rounds")
+		b.ReportMetric(float64(clusters), "clusters")
+	})
 	for _, delta := range []int{4, 8} {
 		for _, n := range []int{48, 256} {
 			name := fmt.Sprintf("delta=%d", delta)

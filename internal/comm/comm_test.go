@@ -172,7 +172,7 @@ func TestRepeatedPassServedFromMemo(t *testing.T) {
 			ids[j] = env.IDs[v]
 		}
 		var out []sim.Delivery
-		es.Pass(env, senders, ids, make([]int, len(senders)), msg, nil, func(_ int, ds []sim.Delivery) {
+		es.Pass(env, senders, ids, make([]int, len(senders)), msg, nil, nil, func(_ int, ds []sim.Delivery) {
 			out = append(out, ds...)
 		})
 		return out

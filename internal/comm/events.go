@@ -73,8 +73,9 @@ func (el *EventLists) Selector() selectors.PairSelector { return el.sel }
 // Every round then runs through the environment's content-keyed reception
 // memo (Env.StepMemo) under the pass's interned listener set, which is
 // re-interned only when the listener slice's content changes. A repeated
-// pass — or any round repeated from an earlier pass — is served from the
-// memo without touching the physical layer.
+// pass — or any round repeated from an earlier pass, also by an addressed
+// pass over a subsequence of its listeners — is served from the memo
+// without touching the physical layer.
 //
 // Within a round, transmitters appear in caller order — which downstream
 // float summation and tie-breaking depend on — exactly as in the naive
@@ -98,12 +99,28 @@ type EventScheduler struct {
 	lastClusters []int
 	prepared     bool
 
-	// Listener identity: the memo's interned listener-set id is refreshed
-	// only when the listener content changes.
-	lastListeners []int
-	listenersNil  bool
-	haveListeners bool
-	lid           uint32 // interned listener-set id (Env.InternListeners)
+	// Listener identity: the memo ids of the listener slice and of the
+	// enclosing slice of an addressed pass.
+	listeners, within internedSet
+}
+
+// internedSet caches the memo's interned id of one listener slice,
+// re-interned only when the slice's content changes.
+type internedSet struct {
+	last  []int
+	isNil bool
+	have  bool
+	id    uint32 // Env.InternListeners(last)
+}
+
+func (s *internedSet) intern(env *sim.Env, xs []int) uint32 {
+	if !s.have || s.isNil != (xs == nil) || !slices.Equal(s.last, xs) {
+		s.last = append(s.last[:0], xs...)
+		s.isNil = xs == nil
+		s.have = true
+		s.id = env.InternListeners(xs)
+	}
+	return s.id
 }
 
 // NewEventScheduler prepares an event-driven executor for one schedule with
@@ -129,12 +146,18 @@ func eventKey(id, cluster int) uint64 {
 // round's deliveries (valid only during the call, like Env.Step results).
 // Silent rounds — before, between and after the events — are fast-forwarded
 // via Env.NextActive.
+//
+// within is nil for an unaddressed pass. An addressed pass — messages only
+// their addressees read, such as proximity confirmations — passes the
+// addressees as listeners and, as within, the enclosing listener slice they
+// are a subsequence of, so its rounds are served from the memo entries that
+// unaddressed passes over the enclosing set captured (see Env.StepMemo).
 func (es *EventScheduler) Pass(
 	env *sim.Env,
 	senders []int,
 	ids, clusters []int,
 	msgOf func(node int) sim.Msg,
-	listeners []int,
+	listeners, within []int,
 	sink func(round int, ds []sim.Delivery),
 ) {
 	start := env.Rounds()
@@ -147,11 +170,10 @@ func (es *EventScheduler) Pass(
 		!slices.Equal(es.lastIDs, ids) || !slices.Equal(es.lastClusters, clusters) {
 		es.prepare(senders, ids, clusters)
 	}
-	if !es.haveListeners || es.listenersNil != (listeners == nil) || !slices.Equal(es.lastListeners, listeners) {
-		es.lastListeners = append(es.lastListeners[:0], listeners...)
-		es.listenersNil = listeners == nil
-		es.haveListeners = true
-		es.lid = env.InternListeners(listeners)
+	lid := es.listeners.intern(env, listeners)
+	wid := lid
+	if within != nil {
+		wid = es.within.intern(env, within)
 	}
 	lo := int32(0)
 	for k, i32 := range es.active {
@@ -162,7 +184,7 @@ func (es *EventScheduler) Pass(
 			es.txs = append(es.txs, senders[j])
 		}
 		env.NextActive(start + int64(i) + 1)
-		sink(i, env.StepMemo(es.txs, msgOf, listeners, es.lid))
+		sink(i, env.StepMemo(es.txs, msgOf, listeners, lid, wid))
 		lo = hi
 	}
 	env.NextActive(start + int64(m) + 1)
@@ -254,9 +276,17 @@ func (es *EventScheduler) prepare(senders []int, ids, clusters []int) {
 		es.events = make([]int32, total)
 	}
 	es.events = es.events[:total]
-	es.active = es.active[:0]
-	es.ends = es.ends[:0]
-	off := int32(0)
+	nbusy := 0
+	for _, word := range busy {
+		nbusy += bits.OnesCount64(word)
+	}
+	if cap(es.active) < nbusy {
+		es.active = make([]int32, nbusy)
+		es.ends = make([]int32, nbusy)
+	}
+	es.active = es.active[:nbusy]
+	es.ends = es.ends[:nbusy]
+	k, off := 0, int32(0)
 	for w, word := range busy {
 		busy[w] = 0 // leave the scratch clean for the next prepare
 		for word != 0 {
@@ -265,8 +295,8 @@ func (es *EventScheduler) prepare(senders []int, ids, clusters []int) {
 			offs[i] = off
 			off += counts[i]
 			counts[i] = 0
-			es.active = append(es.active, i)
-			es.ends = append(es.ends, off)
+			es.active[k], es.ends[k] = i, off
+			k++
 		}
 	}
 	for j := range senders {

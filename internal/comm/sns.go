@@ -124,7 +124,7 @@ func (s *SNS) Run(env *sim.Env, active []int, msgOf func(node int) sim.Msg, list
 		s.sink = func(_ int, ds []sim.Delivery) { s.all = sim.AppendPass(s.all, ds) }
 	}
 	s.all = env.PassBuf()
-	s.ev.Pass(env, active, s.ids, s.clusters, msgOf, listeners, s.sink)
+	s.ev.Pass(env, active, s.ids, s.clusters, msgOf, listeners, nil, s.sink)
 	all := s.all
 	s.all = nil
 	env.SetPassBuf(all)

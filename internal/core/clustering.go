@@ -159,7 +159,7 @@ func inheritClusters(env *sim.Env, st *sparsify.State, b sparsify.Batch, out *As
 	for _, c := range b.Children {
 		sc.childSet.Set(c)
 	}
-	for _, d := range b.Sched.Run(env, sc.senders, msg, b.Children) {
+	for _, d := range b.Sched.Run(env, sc.senders, msg, b.Children, nil) {
 		if d.Msg.Kind != sim.KindClusterID || !sc.childSet.Has(d.Receiver) {
 			continue
 		}

@@ -145,7 +145,7 @@ func Run(env *sim.Env, st *sparsify.State, levels *sparsify.FullLevels) (*Result
 					sc.senders = append(sc.senders, p)
 				}
 			}
-			for _, d := range b.Sched.Run(env, sc.senders, msg, b.Children) {
+			for _, d := range b.Sched.Run(env, sc.senders, msg, b.Children, nil) {
 				if d.Msg.Kind != sim.KindLabelRange {
 					continue
 				}

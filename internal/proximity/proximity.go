@@ -95,14 +95,17 @@ func (s *Schedule) snapshotSenders(senders []int) {
 // subset property that reception guarantees rely on). Every sender
 // transmits msgOf(node) in its scheduled rounds; silent rounds are
 // fast-forwarded, with round accounting identical to the naive loop.
+// listeners and within are as in comm.EventScheduler.Pass: within is nil
+// unless the pass is addressed, when listeners holds the addressees, a
+// subsequence of within.
 //
 // The returned slice is backed by the environment's shared pass buffer
 // (Env.PassBuf), reused by the next pass on the same environment; callers
 // consume a pass's deliveries before starting another pass (every caller in
 // this repository does).
-func (s *Schedule) Run(env *sim.Env, senders []int, msgOf func(node int) sim.Msg, listeners []int) []sim.Delivery {
+func (s *Schedule) Run(env *sim.Env, senders []int, msgOf func(node int) sim.Msg, listeners, within []int) []sim.Delivery {
 	all := env.PassBuf()
-	s.pass(env, senders, msgOf, listeners, func(_ int, ds []sim.Delivery) {
+	s.pass(env, senders, msgOf, listeners, within, func(_ int, ds []sim.Delivery) {
 		all = sim.AppendPass(all, ds)
 	})
 	env.SetPassBuf(all)
@@ -112,9 +115,9 @@ func (s *Schedule) Run(env *sim.Env, senders []int, msgOf func(node int) sim.Msg
 // pass replays the schedule like Run but streams: sink receives each
 // non-silent round's schedule index and deliveries (valid only during the
 // call) instead of an accumulated pass.
-func (s *Schedule) pass(env *sim.Env, senders []int, msgOf func(node int) sim.Msg, listeners []int, sink func(round int, ds []sim.Delivery)) {
+func (s *Schedule) pass(env *sim.Env, senders []int, msgOf func(node int) sim.Msg, listeners, within []int, sink func(round int, ds []sim.Delivery)) {
 	s.snapshotSenders(senders)
-	s.ev.Pass(env, s.members, s.mIDs, s.mClu, msgOf, listeners, sink)
+	s.ev.Pass(env, s.members, s.mIDs, s.mClu, msgOf, listeners, within, sink)
 }
 
 // scratch holds the per-construction working state, pooled across calls so
@@ -133,6 +136,9 @@ type scratch struct {
 
 	in, rem flat.BoolStamp // filtering membership / removal
 	inList  []int32
+
+	isAddr flat.BoolStamp // a confirmation pass's addressees
+	addrs  []int          // the addressees, in active order
 
 	candS, candE flat.Int32Stamp // node -> candidate span in candBuf
 	candBuf      []int32
@@ -298,9 +304,10 @@ func Construct(
 	}
 
 	// Confirmation phase: κ repetitions of S; in repetition j a node
-	// announces its j-th candidate. Confirmations are recorded per candidate
-	// position (the spans are ID-sorted, so the final adjacency lists come
-	// out ID-sorted with no trailing sort).
+	// announces its j-th candidate, and only that candidate reads it, so the
+	// pass listens at the addressees alone. Confirmations are recorded per
+	// candidate position (the spans are ID-sorted, so the final adjacency
+	// lists come out ID-sorted with no trailing sort).
 	if cap(sc.conf) < len(sc.candBuf) {
 		sc.conf = make([]bool, len(sc.candBuf))
 	}
@@ -331,12 +338,20 @@ func Construct(
 			}
 		}
 		sc.senders = sc.senders[:0]
+		sc.isAddr.Reset(n)
 		for _, v := range active {
-			if j < len(candSpan(v)) {
+			if c := candSpan(v); j < len(c) {
 				sc.senders = append(sc.senders, v)
+				sc.isAddr.Set(int(c[j]))
 			}
 		}
-		s.pass(env, sc.senders, msg, active, func(_ int, ds []sim.Delivery) {
+		sc.addrs = sc.addrs[:0]
+		for _, u := range active {
+			if sc.isAddr.Has(u) {
+				sc.addrs = append(sc.addrs, u)
+			}
+		}
+		s.pass(env, sc.senders, msg, sc.addrs, active, func(_ int, ds []sim.Delivery) {
 			for _, d := range ds {
 				if d.Msg.Kind != sim.KindConfirm {
 					continue
@@ -399,22 +414,13 @@ func exchangeWithRounds(env *sim.Env, s *Schedule, sc *scratch, active []int, ms
 	sc.recR = sc.recR[:0]
 	sc.recS = sc.recS[:0]
 	sc.recRound = sc.recRound[:0]
-	s.pass(env, active, msgOf, active, func(i int, ds []sim.Delivery) {
+	s.pass(env, active, msgOf, active, nil, func(i int, ds []sim.Delivery) {
 		for _, d := range ds {
 			sc.recR = append(sc.recR, int32(d.Receiver))
 			sc.recS = append(sc.recS, int32(d.Sender))
 			sc.recRound = append(sc.recRound, int32(i))
 		}
 	})
-}
-
-func containsNode(list []int32, v int) bool {
-	for _, x := range list {
-		if int(x) == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Rounds returns the total round cost of one construction with the given

@@ -164,7 +164,7 @@ func TestScheduleReplaySubsetPreservesEdgeExchange(t *testing.T) {
 	// Replay with all constructors sending: every edge must exchange again.
 	ds := g.Sched.Run(env, active, func(v int) sim.Msg {
 		return sim.Msg{Kind: sim.KindHello, From: int32(env.IDs[v])}
-	}, active)
+	}, active, nil)
 	heard := map[[2]int]bool{}
 	for _, d := range ds {
 		heard[[2]int{d.Receiver, d.Sender}] = true
@@ -190,7 +190,7 @@ func TestScheduleReplaySkipsNonMembers(t *testing.T) {
 	if g.Sched.Member(4) {
 		t.Error("node 4 was not active at construction")
 	}
-	ds := g.Sched.Run(env, []int{4}, func(v int) sim.Msg { return sim.Msg{} }, nil)
+	ds := g.Sched.Run(env, []int{4}, func(v int) sim.Msg { return sim.Msg{} }, nil, nil)
 	if len(ds) != 0 {
 		t.Error("non-member senders must be skipped")
 	}
@@ -224,4 +224,13 @@ func TestIsolatedNodesNoEdges(t *testing.T) {
 			t.Errorf("isolated node %d has edges %v", u, ns)
 		}
 	}
+}
+
+func containsNode(list []int32, v int) bool {
+	for _, x := range list {
+		if int(x) == v {
+			return true
+		}
+	}
+	return false
 }

@@ -1,0 +1,164 @@
+package sim_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"dcluster/internal/fault"
+	"dcluster/internal/geom"
+	"dcluster/internal/sim"
+	"dcluster/internal/sinr"
+)
+
+// TestAddressedRoundsServedFromEnclosingEntry pins StepMemo's addressed
+// rounds: a round whose listeners are a subsequence of an enclosing listener
+// set is served from the entry the enclosing set captured, and delivers
+// exactly what Step over the addressees delivers — the same deliveries in
+// the same order, the same msgOf calls and the same statistics — plainly,
+// under a fault decorator with drops, and with a budget so small that the
+// memo keeps emptying. Addressed rounds with no enclosing entry are computed
+// at the addressees alone and then served from their own entry.
+func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
+	pts := geom.UniformDisk(64, 2.8, 5)
+	n := len(pts)
+	// Two addressee sets, subsequences of within, taking turns by pass (as
+	// the addressees of consecutive confirmation passes do).
+	var within []int
+	addressees := make([][]int, 2)
+	for v := 0; v < n; v++ {
+		if v%5 == 0 {
+			continue
+		}
+		within = append(within, v)
+		if v%3 == 1 {
+			addressees[0] = append(addressees[0], v)
+		}
+		if v%4 != 1 {
+			addressees[1] = append(addressees[1], v)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	var sets [][]int
+	distinct := map[string]bool{}
+	for len(sets) < 12 {
+		txs := rng.Perm(n)[:1+rng.Intn(6)]
+		if key := fmt.Sprint(txs); !distinct[key] {
+			distinct[key] = true
+			sets = append(sets, txs)
+		}
+	}
+	enclosed, alone := sets[:6], sets[6:]
+
+	for _, tc := range []struct {
+		name   string
+		spec   string // fault spec; "" runs without the decorator
+		budget int    // 0 keeps the default
+	}{
+		{"plain", "", 0},
+		{"drop", "seed=3;drop=0.05", 0},
+		{"tiny budget", "seed=3;drop=0.05", 24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newEnv := func() (*sim.Env, *innerCount) {
+				f, err := sinr.NewField(sinr.DefaultParams(), pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inner := &innerCount{Engine: f}
+				if tc.spec == "" {
+					return sim.MustEnv(inner, nil, 0), inner
+				}
+				spec, err := fault.Parse(tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := sim.MustEnv(fault.Wrap(inner, &spec), nil, 0)
+				e.SetControl(sim.Control{NodeFaults: &spec})
+				return e, inner
+			}
+			memo, inner := newEnv()
+			if tc.budget > 0 {
+				sim.SetMemoBudget(memo, tc.budget)
+			}
+			plain, _ := newEnv()
+			wid := memo.InternListeners(within)
+			lids := []uint32{memo.InternListeners(addressees[0]), memo.InternListeners(addressees[1])}
+			var listeners []int
+			var lid uint32
+
+			var memoCalls, plainCalls []int
+			recording := func(e *sim.Env, calls *[]int) func(int) sim.Msg {
+				return func(v int) sim.Msg {
+					*calls = append(*calls, v)
+					return sim.Msg{Kind: sim.KindHello, From: int32(v), A: int32(e.Rounds())}
+				}
+			}
+			memoOf, plainOf := recording(memo, &memoCalls), recording(plain, &plainCalls)
+			addressed := 0
+			step := func(txs []int, isAddressed bool) {
+				memoCalls, plainCalls = memoCalls[:0], plainCalls[:0]
+				var got, want []sim.Delivery
+				if isAddressed {
+					got = slices.Clone(memo.StepMemo(txs, memoOf, listeners, lid, wid))
+					want = plain.Step(txs, plainOf, listeners)
+					addressed += len(got)
+				} else {
+					got = slices.Clone(memo.StepMemo(txs, memoOf, within, wid, wid))
+					want = plain.Step(txs, plainOf, within)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d, txs %v, addressed %v: memo delivered %v, Step %v", plain.Rounds(), txs, isAddressed, got, want)
+				}
+				if !slices.Equal(memoCalls, plainCalls) {
+					t.Fatalf("round %d, txs %v, addressed %v: msgOf calls %v, Step's %v", plain.Rounds(), txs, isAddressed, memoCalls, plainCalls)
+				}
+			}
+			for pass := 0; pass < 4; pass++ {
+				listeners, lid = addressees[pass%2], lids[pass%2]
+				for _, txs := range enclosed {
+					step(txs, false)
+				}
+				for _, txs := range enclosed {
+					step(txs, true) // served from the enclosing entries
+				}
+				for _, txs := range alone {
+					step(txs, true) // computed at the addressees, then recalled
+				}
+			}
+			if memo.Stats() != plain.Stats() {
+				t.Errorf("memo stats %+v, Step stats %+v", memo.Stats(), plain.Stats())
+			}
+			if addressed == 0 {
+				t.Fatal("no addressee received anything; the rounds check nothing")
+			}
+			// One engine round per enclosed set, and per (addressee set,
+			// transmitter set) pair among the others.
+			live := len(enclosed) + len(addressees)*len(alone)
+			switch {
+			case tc.budget == 0 && inner.calls != live:
+				t.Errorf("inner engine ran %d rounds, want %d", inner.calls, live)
+			case tc.budget > 0 && inner.calls <= live:
+				t.Errorf("inner engine ran %d rounds, want the tiny budget to force recaptures", inner.calls)
+			}
+
+			if tc.budget > 0 {
+				return
+			}
+			// Warmed, an addressed pass allocates nothing, whether its rounds
+			// are served from the enclosing entries or from their own.
+			if avg := testing.AllocsPerRun(20, func() {
+				for _, txs := range enclosed {
+					memo.StepMemo(txs, hello, listeners, lid, wid)
+				}
+				for _, txs := range alone {
+					memo.StepMemo(txs, hello, listeners, lid, wid)
+				}
+			}); avg != 0 {
+				t.Errorf("warmed addressed pass allocates %.1f objects, want 0", avg)
+			}
+		})
+	}
+}

@@ -57,7 +57,9 @@ type Control struct {
 	NodeFaults NodeFaults
 	// StallWindow, when positive, arms the stall watchdog: the execution
 	// aborts with ErrStalled after StallWindow consecutive rounds with no
-	// delivery and no phase mark. The window is measured on the round
+	// delivery and no phase mark. A delivery is a reception at one of the
+	// round's listeners, so an addressed round that reaches none of its
+	// addressees counts as idle. The window is measured on the round
 	// clock — fast-forwarded silent stretches count (and abort at exactly
 	// the round single-stepping would) — so it must be sized well above the
 	// protocol's longest natural progress-free stretch.
@@ -116,6 +118,12 @@ type Env struct {
 	passBuf []Delivery
 	memo    envMemo
 
+	// Membership of the addressed listener set last served from an
+	// enclosing set's memo entry: inSet[v] == inSetID iff v is a member
+	// (see markListeners).
+	inSet   []uint32
+	inSetID uint32
+
 	// Per-round message table: msgs[v] holds sender v's message of round
 	// msgRound[v] (see deliver).
 	msgs     []Msg
@@ -140,7 +148,7 @@ type Env struct {
 type Stats struct {
 	Rounds        int64 // synchronous rounds elapsed
 	Transmissions int64 // node-rounds spent transmitting
-	Deliveries    int64 // successful receptions
+	Deliveries    int64 // successful receptions at the rounds' listeners
 }
 
 // Mark is a labelled point on the round timeline, used by experiments to
@@ -287,8 +295,11 @@ func (e *Env) checkStop() {
 // Step executes one synchronous round: every node in txs transmits the
 // message msgOf(node); every other node listens. listeners restricts which
 // nodes' receptions are computed (nil = all non-transmitters); restricting
-// listeners is a pure simulator optimisation and never changes protocol
-// behaviour, because omitted nodes would only have discarded the message.
+// listeners never changes protocol behaviour, because omitted nodes would
+// only have discarded the message. It does change the accounting: only
+// receptions at listeners are delivered, so Stats.Deliveries, the observer's
+// delivery count and the stall watchdog see those alone (an addressed
+// message counts only at its addressee).
 // msgOf is called once per round for each transmitter with at least one
 // reception, and never for the others, so it must be a pure function of
 // the node for the duration of the round; every delivery from that sender

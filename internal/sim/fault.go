@@ -7,8 +7,8 @@ import (
 )
 
 // ErrStalled is the abort cause of the stall watchdog: no observable
-// progress (no delivery, no phase mark) for Control.StallWindow consecutive
-// rounds.
+// progress (no delivery at a round's listeners, no phase mark) for
+// Control.StallWindow consecutive rounds.
 var ErrStalled = errors.New("sim: no observable progress within the stall window")
 
 // ErrCanceled is the abort cause of a context cancellation, wrapped around

@@ -16,7 +16,10 @@ import (
 // round through StepMemo, which replays a previously captured reception
 // sequence when the identical round has run before. While the round stays
 // memoized, neither a repeated pass nor a round repeated inside a different
-// pass reaches the engine.
+// pass reaches the engine. An addressed round — listeners a subsequence of
+// an enclosing set, like a confirmation pass's addressees within the active
+// set — is served from the enclosing set's entry when there is one, keeping
+// the receptions at its listeners.
 //
 // Faulted executions share the memo. Every injected fault only removes
 // receptions from the fault-free outcome (see fault.Engine), so the memo
@@ -191,11 +194,16 @@ func (m *envMemo) capture(slot int, key uint64, lid uint32, txs []int, recs []si
 }
 
 // recall decodes the memoized receptions of entry s (a slots value) into
-// dst.
-func (m *envMemo) recall(s int32, dst []sinr.Reception) []sinr.Reception {
+// dst. With a non-nil mark it keeps only the receptions at receivers v with
+// mark[v] == lid: an addressed round served from the entry of its enclosing
+// listener set (see StepMemo).
+func (m *envMemo) recall(s int32, mark []uint32, lid uint32, dst []sinr.Reception) []sinr.Reception {
 	en := &m.rounds[s-1]
 	pairs := en.data[en.ntx:]
 	for k := 0; k+1 < len(pairs); k += 2 {
+		if mark != nil && mark[pairs[k]] != lid {
+			continue
+		}
 		dst = append(dst, sinr.Reception{Receiver: int(pairs[k]), Sender: int(pairs[k+1])})
 	}
 	return dst
@@ -236,6 +244,11 @@ func (e *Env) InternListeners(listeners []int) uint32 {
 	return id
 }
 
+// roundKey is the memo's hash of round (lid, txs).
+func roundKey(lid uint32, txs []int) uint64 {
+	return intsHash(uint64(lid)*0xc2b2ae3d27d4eb4f+14695981039346656037, txs)
+}
+
 // StepMemo is Step with reception memoization: listeners must be the slice
 // whose content was interned as lid (callers intern once per pass). The
 // round's transmitters are first stripped of down nodes; if the identical
@@ -245,7 +258,17 @@ func (e *Env) InternListeners(listeners []int) uint32 {
 // either, exactly as in Step, so results, statistics, observer behaviour and
 // the msgOf calls (once per sender with a surviving reception) are
 // byte-identical to Step.
-func (e *Env) StepMemo(txs []int, msgOf func(node int) Msg, listeners []int, lid uint32) []Delivery {
+//
+// within is the interned id of the enclosing listener set of an addressed
+// round, whose listeners are a subsequence of that set, and equals lid for
+// an unaddressed round. An addressed round is first looked up under
+// (within, transmitters) — typically captured by an unaddressed pass over
+// the enclosing set — and served from it by keeping the receptions at the
+// listeners. This is exact: reception at a listener depends only on the
+// transmitters, every engine emits in listener order, and faults only ever
+// remove receptions. Only when that misses too does it go through the
+// (lid, transmitters) entry as above.
+func (e *Env) StepMemo(txs []int, msgOf func(node int) Msg, listeners []int, lid, within uint32) []Delivery {
 	txs = e.beginRound(txs)
 	if len(txs) == 0 {
 		return nil
@@ -254,13 +277,37 @@ func (e *Env) StepMemo(txs []int, msgOf func(node int) Msg, listeners []int, lid
 	if m.hashes == nil {
 		m.growRounds()
 	}
-	key := intsHash(uint64(lid)*0xc2b2ae3d27d4eb4f+14695981039346656037, txs)
+	if within != lid {
+		if s := m.slots[m.roundSlot(roundKey(within, txs), within, txs)]; s != 0 {
+			e.markListeners(listeners, lid)
+			e.recBuf = m.recall(s, e.inSet, lid, e.recBuf[:0])
+			return e.deliver(txs, e.recBuf, msgOf)
+		}
+	}
+	key := roundKey(lid, txs)
 	slot := m.roundSlot(key, lid, txs)
 	if s := m.slots[slot]; s != 0 {
-		e.recBuf = m.recall(s, e.recBuf[:0])
+		e.recBuf = m.recall(s, nil, 0, e.recBuf[:0])
 	} else {
 		e.recBuf = e.phys.Deliver(txs, listeners, e.recBuf[:0])
 		m.capture(slot, key, lid, txs, e.recBuf)
 	}
 	return e.deliver(txs, e.recBuf, msgOf)
+}
+
+// markListeners stamps the members of listener set lid (content listeners)
+// in inSet with lid, unless lid is the set stamped last. Stale stamps stay
+// exact: a stamp equal to lid was only ever written for a member of lid's
+// content, which never changes.
+func (e *Env) markListeners(listeners []int, lid uint32) {
+	if e.inSetID == lid {
+		return
+	}
+	if e.inSet == nil {
+		e.inSet = make([]uint32, len(e.IDs))
+	}
+	for _, v := range listeners {
+		e.inSet[v] = lid
+	}
+	e.inSetID = lid
 }

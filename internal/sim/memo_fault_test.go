@@ -76,7 +76,7 @@ func TestFaultedRoundsShareMemo(t *testing.T) {
 			plain, _ := newEnv()
 			var solo [][]sim.Delivery // node 0's rounds
 			for i, txs := range seq {
-				got := slices.Clone(memo.StepMemo(txs, hello, nil, 0))
+				got := slices.Clone(memo.StepMemo(txs, hello, nil, 0, 0))
 				want := plain.Step(txs, hello, nil)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d, txs %v: memo delivered %v, Step %v", i+1, txs, got, want)

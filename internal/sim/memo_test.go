@@ -32,7 +32,7 @@ func TestMemoEmptiedWhenFull(t *testing.T) {
 	for pass := 0; pass < 4; pass++ {
 		for _, txs := range seq {
 			before, calls := len(memo.memo.rounds), ce.calls
-			got := slices.Clone(memo.StepMemo(txs, helloOf, nil, 0))
+			got := slices.Clone(memo.StepMemo(txs, helloOf, nil, 0, 0))
 			want := plain.Step(txs, helloOf, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("pass %d, txs %v: memo delivered %v, Step %v", pass, txs, got, want)
@@ -60,22 +60,22 @@ func TestMemoEmptiedWhenFull(t *testing.T) {
 
 	// Fill the memo with a, then step fresh rounds until it is emptied.
 	a := []int{2}
-	memo.StepMemo(a, helloOf, nil, 0)
+	memo.StepMemo(a, helloOf, nil, 0, 0)
 	emptied := false
 	for v := 0; v < len(pts) && !emptied; v++ {
 		before, calls := len(memo.memo.rounds), ce.calls
-		memo.StepMemo([]int{v, (v + 4) % len(pts)}, helloOf, nil, 0)
+		memo.StepMemo([]int{v, (v + 4) % len(pts)}, helloOf, nil, 0, 0)
 		emptied = ce.calls > calls && len(memo.memo.rounds) <= before
 	}
 	if !emptied {
 		t.Fatal("memo never emptied")
 	}
 	calls := ce.calls
-	memo.StepMemo(a, helloOf, nil, 0)
+	memo.StepMemo(a, helloOf, nil, 0, 0)
 	if ce.calls != calls+1 {
 		t.Errorf("round after emptying reached the engine %d times, want 1", ce.calls-calls)
 	}
-	memo.StepMemo(a, helloOf, nil, 0)
+	memo.StepMemo(a, helloOf, nil, 0, 0)
 	if ce.calls != calls+1 {
 		t.Error("repeat of a recaptured round reached the engine, want a memo hit")
 	}

@@ -109,7 +109,7 @@ func TestMessageBuiltOncePerSender(t *testing.T) {
 		if round%2 == 1 {
 			got = e.Step(txs, msgOf, nil)
 		} else {
-			got = e.StepMemo(txs, msgOf, nil, lid)
+			got = e.StepMemo(txs, msgOf, nil, lid, lid)
 		}
 		var want []Delivery
 		for _, r := range e.F.Deliver(txs, nil, nil) {

@@ -1,6 +1,8 @@
 package sinr
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,47 +46,108 @@ func TestPropertySINRSymmetricGain(t *testing.T) {
 	}
 }
 
+// TestPropertyDeliverSubsetListeners pins the invariant that lets an
+// addressed round be served from the outcome of its enclosing listener set:
+// for transmitters T, an enclosing set W (explicit or nil = everyone) and a
+// subsequence L of W, Deliver(T, W) restricted to the receivers in L equals
+// Deliver(T, L), in the same order. Reception at a listener depends only on
+// T, and every path emits in listener order; the sweep crosses paths on
+// purpose (the dense engine's transposed, marked and transmitter-centric
+// cores; the sparse engine's direct scan, grid, accumulating and parallel
+// cores), since the restricted call often takes another path than the full
+// one.
 func TestPropertyDeliverSubsetListeners(t *testing.T) {
-	// Restricting listeners must return exactly the restriction of the
-	// full result.
-	pts := geom.UniformSquare(40, 4, 11)
-	f := mustField(t, pts)
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 30; trial++ {
-		var txs []int
-		for v := 0; v < f.N(); v++ {
-			if rng.Float64() < 0.15 {
-				txs = append(txs, v)
+	n := 800
+	pts := geom.UniformDisk(n, math.Sqrt(float64(n)/8), 41)
+	params := DefaultParams()
+	dense, err := NewField(params, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := NewSparseField(params, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type engine struct {
+		name    string
+		f       Engine
+		setup   func()
+		cleanup func()
+	}
+	workers := sparse.workers
+	sparseWith := func(name string, ov int8, w int) engine {
+		return engine{name, sparse,
+			func() { sparse.pathOverride, sparse.workers = ov, w },
+			func() { sparse.pathOverride, sparse.workers = 0, workers }}
+	}
+	engines := []engine{
+		{"dense", dense, func() {}, func() {}},
+		sparseWith("sparse/auto/serial", 0, 1),
+		sparseWith("sparse/grid/serial", -1, 1),
+		sparseWith("sparse/accum/serial", 1, 1),
+		sparseWith("sparse/grid/parallel", -1, 4),
+		sparseWith("sparse/accum/parallel", 1, 4),
+	}
+
+	rng := rand.New(rand.NewSource(43))
+	subsequence := func(of []int, keep float64) []int {
+		l := []int{}
+		for _, v := range of {
+			if rng.Float64() < keep {
+				l = append(l, v)
 			}
 		}
-		full := f.Deliver(txs, nil, nil)
-		var some []int
-		for v := 0; v < f.N(); v += 3 {
-			some = append(some, v)
-		}
-		part := f.Deliver(txs, some, nil)
-		inSome := map[int]bool{}
-		for _, v := range some {
-			inSome[v] = true
-		}
-		want := map[int]int{}
-		for _, r := range full {
-			if inSome[r.Receiver] {
-				want[r.Receiver] = r.Sender
+		return l
+	}
+	received := 0
+	everyone := make([]int, n)
+	for v := range everyone {
+		everyone[v] = v
+	}
+	for _, ntx := range []int{1, 4, 30, 48, 49, 120, 400} {
+		for _, wKind := range []string{"nil", "half", "random"} {
+			var within []int
+			switch wKind {
+			case "half":
+				for v := 0; v < n; v += 2 {
+					within = append(within, v)
+				}
+			case "random":
+				within = subsequence(everyone, 0.6)
+			}
+			txs := pickDistinct(rng, n, ntx)
+			enclosing := within
+			if enclosing == nil {
+				enclosing = everyone
+			}
+			for _, keep := range []float64{0.02, 0.25, 0.9} {
+				listeners := subsequence(enclosing, keep)
+				inL := make([]bool, n)
+				for _, u := range listeners {
+					inL[u] = true
+				}
+				for _, e := range engines {
+					t.Run(fmt.Sprintf("T=%d/W=%s/keep=%v/%s", ntx, wKind, keep, e.name), func(t *testing.T) {
+						e.setup()
+						defer e.cleanup()
+						var want []Reception
+						for _, r := range e.f.Deliver(txs, within, nil) {
+							if inL[r.Receiver] {
+								want = append(want, r)
+							}
+						}
+						got := e.f.Deliver(txs, listeners, nil)
+						received += len(got)
+						if !sameReceptions(want, got) {
+							t.Fatalf("|L|=%d: filtered enclosing outcome %v, restricted Deliver %v", len(listeners), want, got)
+						}
+					})
+				}
 			}
 		}
-		got := map[int]int{}
-		for _, r := range part {
-			got[r.Receiver] = r.Sender
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d receptions, want %d", trial, len(got), len(want))
-		}
-		for u, s := range want {
-			if got[u] != s {
-				t.Fatalf("trial %d: receiver %d sender %d, want %d", trial, u, got[u], s)
-			}
-		}
+	}
+	if received == 0 {
+		t.Fatal("no listener received anything; the sweep checks nothing")
 	}
 }
 

@@ -181,6 +181,8 @@ type scratch struct {
 	parent flat.Int32Stamp // child -> chosen parent node
 	newPar flat.BoolStamp  // nodes that acquired a child this iteration
 	sends  []int           // choose-pass sender scratch
+	isPar  flat.BoolStamp  // the chosen parents: the choose pass's addressees
+	pars   []int           // the chosen parents, in active order
 	prnts  []int           // parents accumulated across iterations
 	adj    flat.Adjacency  // the current iteration's proximity graph
 }
@@ -275,7 +277,7 @@ func iterate(
 		return sim.Msg{Kind: sim.KindYFlag, From: int32(env.IDs[v]), A: b}
 	}
 	sc.resetEdges(g.Adj.NumEdges())
-	for _, d := range g.Sched.Run(env, activeSet, flag, activeSet) {
+	for _, d := range g.Sched.Run(env, activeSet, flag, activeSet, nil) {
 		if d.Msg.Kind != sim.KindYFlag {
 			continue
 		}
@@ -314,9 +316,21 @@ func iterate(
 	}
 
 	// One schedule pass: children notify parents, piggybacking their
-	// completed subtree size (used by imperfect labeling).
+	// completed subtree size (used by imperfect labeling). Only the chosen
+	// parent reads a choose message, so the pass listens at the parents.
 	chooseSenders := sc.sends
 	sort.Ints(chooseSenders)
+	sc.isPar.Reset(n)
+	for _, v := range chooseSenders {
+		p, _ := sc.parent.Get(v)
+		sc.isPar.Set(int(p))
+	}
+	sc.pars = sc.pars[:0]
+	for _, v := range activeSet {
+		if sc.isPar.Has(v) {
+			sc.pars = append(sc.pars, v)
+		}
+	}
 	chooseMsg := func(v int) sim.Msg {
 		p, _ := sc.parent.Get(v)
 		return sim.Msg{
@@ -328,7 +342,7 @@ func iterate(
 	}
 	sc.newPar.Reset(n)
 	newParents := 0
-	for _, d := range g.Sched.Run(env, chooseSenders, chooseMsg, activeSet) {
+	for _, d := range g.Sched.Run(env, chooseSenders, chooseMsg, sc.pars, activeSet) {
 		if d.Msg.Kind != sim.KindChoose {
 			continue
 		}
@@ -414,7 +428,7 @@ func independentSet(env *sim.Env, g *proximity.Graph, activeSet []int, call Call
 		return
 	}
 	exchange := func(msgOf func(int) sim.Msg) []sim.Delivery {
-		return g.Sched.Run(env, activeSet, msgOf, activeSet)
+		return g.Sched.Run(env, activeSet, msgOf, activeSet, nil)
 	}
 	res := mis.Compute(activeSet, func(v int) int { return env.IDs[v] }, g.Adj, exchange, mis.Options{
 		IDBound: env.N,

@@ -27,8 +27,9 @@ var ErrRoundBudget = sim.ErrRoundBudget
 var ErrCanceled = sim.ErrCanceled
 
 // ErrStalled is returned by Run when the WithStallDetector watchdog fires:
-// no observable progress (no delivery, no phase mark) for the configured
-// window of consecutive rounds. The partial Result is returned alongside.
+// no observable progress (no delivery at a listener the protocol reads, no
+// phase mark) for the configured window of consecutive rounds. The partial
+// Result is returned alongside.
 var ErrStalled = sim.ErrStalled
 
 // ErrBadOption is returned by Run when a RunOption carries an invalid value
@@ -168,7 +169,10 @@ func WithFaults(spec FaultSpec) RunOption {
 
 // WithStallDetector arms the stall watchdog: the run aborts with ErrStalled
 // (and partial Stats) after window consecutive rounds with no observable
-// progress — no delivery and no phase mark. The window is measured on the
+// progress — no delivery and no phase mark. Progress means a delivery at a
+// listener the protocol reads, so a round of addressed messages (proximity
+// confirmations, choose messages) that reaches no addressee counts as idle.
+// The window is measured on the
 // round clock, so fast-forwarded silent stretches count against it (and
 // abort at exactly the round single-stepping would). window must be
 // positive, and sized well above the protocol's longest natural

@@ -35,7 +35,7 @@ go test -bench=. -benchtime=1x -benchmem -run='^$' ./... | tee "$raw"
 # compares like-for-like low-noise samples.
 gated="$(mktemp)"
 { go test -bench='^(BenchmarkDeliver|BenchmarkDeliverTx|BenchmarkDeliverDense|BenchmarkRunOverhead)$' -benchtime=20x -benchmem -count=3 -run='^$' . ./internal/sinr/
-  go test -bench='^BenchmarkClustering$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkRunFaulted$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$' -benchtime=5x -benchmem -count=3 -run='^$' .
+  go test -bench='^BenchmarkClustering$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkRunFaulted$|^BenchmarkTable1$/^(ours|delta=.*|n=.*|sparse)$' -benchtime=5x -benchmem -count=3 -run='^$' .
   go test -bench='^BenchmarkAlgorithmSteadyState$' -benchtime=2000x -benchmem -count=3 -run='^$' .
 } |
     tee /dev/stderr |

@@ -9,7 +9,8 @@
 # BenchmarkDeliverDense, BenchmarkRunOverhead, and the dense engine's set-up
 # row BenchmarkEngineConstruction/dense/n=1024) at
 # -benchtime=20x -count=3, plus the small-n algorithm-layer tier
-# (BenchmarkClustering at n∈{48,256}, BenchmarkTable1/ours at n∈{48,256},
+# (BenchmarkClustering at n∈{48,256} and its sparse-engine row at n=512,
+# BenchmarkTable1/ours at n∈{48,256},
 # BenchmarkGlobalBroadcastStrip at n=500, BenchmarkRunFaulted) at
 # -benchtime=5x -count=3, and
 # BenchmarkAlgorithmSteadyState at -benchtime=2000x -count=3, takes the
@@ -46,8 +47,10 @@ construct_regex='^BenchmarkEngineConstruction$/^dense$/^n=1024$'
 # n), and a faulted local broadcast on clumps with 5% drops (the reception
 # memo with per-round fault filtering on top). The second regex element
 # constrains BenchmarkTable1 to its ours/ rows (the baselines are not gated),
-# so every gated row's first sub-benchmark level must match it.
-smalln_regex='^BenchmarkClustering$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkRunFaulted$|^BenchmarkTable1$/^(ours|delta=.*|n=.*)$'
+# so every gated row's first sub-benchmark level must match it: sparse admits
+# BenchmarkClustering/sparse/n=512, clustering end to end on the sparse
+# engine.
+smalln_regex='^BenchmarkClustering$|^BenchmarkGlobalBroadcastStrip$|^BenchmarkRunFaulted$|^BenchmarkTable1$/^(ours|delta=.*|n=.*|sparse)$'
 # The warmed-pass allocation gate runs ~0.1 ms per op: at 5x its min-of-3
 # swung between 88 and 205 µs with unchanged code, so it gets 2000x.
 steady_regex='^BenchmarkAlgorithmSteadyState$'
