@@ -21,7 +21,9 @@
 // Long runs can be bounded: -timeout aborts via context cancellation,
 // -max-rounds imposes a deterministic round budget (both report the partial
 // statistics), and -progress N prints a live rounds/deliveries line to
-// stderr every N rounds via the execution observer.
+// stderr every N rounds via the execution observer. -cpuprofile writes a
+// CPU profile of the whole command (network build and run) for go tool
+// pprof.
 package main
 
 import (
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime/pprof"
 
 	"dcluster"
 	"dcluster/internal/analysis"
@@ -86,8 +89,13 @@ func main() {
 		progress  = flag.Int64("progress", 0, "print a live progress line to stderr every N rounds (0 = off)")
 		faultsF   = flag.String("faults", "", "deterministic fault spec, e.g. 'seed=7;drop=0.2@100-500;crash=3-8@50-300'")
 		watchdog  = flag.Int64("watchdog", 0, "stall watchdog: abort after N rounds without a delivery or phase mark (0 = off)")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	)
 	flag.Parse()
+	if *cpuprof != "" {
+		startProfile(*cpuprof)
+	}
+	defer stopProfile()
 
 	if *presetF != "" {
 		p, ok := presets[*presetF]
@@ -152,7 +160,7 @@ func main() {
 				errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
 				fmt.Printf("%s aborted: %v (rounds=%d transmissions=%d deliveries=%d)\n",
 					task.Name(), err, res.Stats.Rounds, res.Stats.Transmissions, res.Stats.Deliveries)
-				os.Exit(3)
+				exit(3)
 			}
 			if res != nil && res.Cluster != nil && errors.Is(err, dcluster.ErrInvariant) {
 				// Expected degradation under fault injection: report exactly
@@ -162,7 +170,7 @@ func main() {
 					1.0, net.Params().Eps, awakeFilter(&spec))
 				fmt.Printf("%s degraded: clustering invariant violated (%s; rounds=%d)\n",
 					task.Name(), rep.String(), res.Stats.Rounds)
-				os.Exit(4)
+				exit(4)
 			}
 			fatal(err)
 		}
@@ -290,5 +298,32 @@ func buildTopology(kind string, n int, radius, length float64, seed int64) ([]dc
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dclust:", err)
-	os.Exit(1)
+	exit(1)
+}
+
+// stopProfile ends the -cpuprofile profile, if one is being written.
+var stopProfile = func() {}
+
+// startProfile starts writing a CPU profile to path.
+func startProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatal(err)
+	}
+	stopProfile = func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "dclust:", err)
+		}
+		stopProfile = func() {}
+	}
+}
+
+// exit ends the command with code, finishing the CPU profile first.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
 }

@@ -152,6 +152,8 @@ type Network struct {
 	idcap  int
 
 	sessions    sync.Pool // per-run engine sessions (sinr.Engine)
+	kitMu       sync.Mutex
+	kits        []*sim.PassKit // idle pass kits: helper sessions and buffers
 	densityOnce sync.Once
 	density     int
 }
@@ -260,6 +262,28 @@ func (n *Network) acquireEngine() sinr.Engine {
 
 // releaseEngine returns a session to the pool for reuse by later runs.
 func (n *Network) releaseEngine(e sinr.Engine) { n.sessions.Put(e) }
+
+// acquireKit borrows an idle pass kit (see sim.PassKit), or a new one. Kits
+// are kept for the Network's lifetime rather than in a sync.Pool: a
+// collection between runs would drop them, and each run would then make
+// its helper sessions and resolution buffers again.
+func (n *Network) acquireKit() *sim.PassKit {
+	n.kitMu.Lock()
+	defer n.kitMu.Unlock()
+	if k := len(n.kits); k > 0 {
+		kit := n.kits[k-1]
+		n.kits = n.kits[:k-1]
+		return kit
+	}
+	return new(sim.PassKit)
+}
+
+// releaseKit returns a pass kit for reuse by later runs.
+func (n *Network) releaseKit(kit *sim.PassKit) {
+	n.kitMu.Lock()
+	n.kits = append(n.kits, kit)
+	n.kitMu.Unlock()
+}
 
 // Len returns the number of nodes.
 func (n *Network) Len() int { return len(n.pts) }

@@ -24,6 +24,11 @@ import (
 // Result. It is a permanent gate: any future map-order leak in
 // proximity/mis/core/sparsify/broadcast shows up here as a cross-process
 // diff.
+//
+// The children also run under different GOMAXPROCS (1 and 4), and every Run
+// forces the parallel resolution of schedule passes (WithForceParallel): the
+// GOMAXPROCS=1 child computes every miss on the caller's session, the other
+// spreads them over four, and the dumps must still agree byte for byte.
 
 const determinismChildEnv = "DCLUSTER_DETERMINISM_CHILD"
 
@@ -101,7 +106,7 @@ func determinismDump() (string, error) {
 			if err != nil {
 				return "", fmt.Errorf("%s/%s: %v", tc.name, eng.name, err)
 			}
-			res, err := net.Run(context.Background(), tc.task(net.Len()))
+			res, err := net.Run(context.Background(), tc.task(net.Len()), dcluster.WithForceParallel())
 			if err != nil {
 				return "", fmt.Errorf("%s/%s: %v", tc.name, eng.name, err)
 			}
@@ -187,10 +192,10 @@ func TestDeterminismDump(t *testing.T) {
 	fmt.Fprintf(os.Stdout, "%s\n%s%s\n", determinismBegin, dump, determinismEnd)
 }
 
-func runDeterminismChild(t *testing.T) string {
+func runDeterminismChild(t *testing.T, procs int) string {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestDeterminismDump$", "-test.count=1")
-	cmd.Env = append(os.Environ(), determinismChildEnv+"=1")
+	cmd.Env = append(os.Environ(), determinismChildEnv+"=1", fmt.Sprintf("GOMAXPROCS=%d", procs))
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("child process failed: %v\n%s", err, out)
@@ -206,7 +211,8 @@ func runDeterminismChild(t *testing.T) string {
 
 // TestCrossProcessDeterminism byte-compares the canonical Result dumps of
 // three executions of the full matrix under three distinct Go map hash
-// seeds: this process plus two re-exec'd child test processes.
+// seeds: this process plus two re-exec'd child test processes, the first
+// with GOMAXPROCS=1 and the second with GOMAXPROCS=4.
 func TestCrossProcessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full task matrix three times in separate processes")
@@ -218,11 +224,11 @@ func TestCrossProcessDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		got := runDeterminismChild(t)
+	for i, procs := range []int{1, 4} {
+		got := runDeterminismChild(t, procs)
 		if got != want {
-			t.Errorf("child %d produced a different dump (map-order leak?):\n%s",
-				i, firstDiff(want, got))
+			t.Errorf("child %d (GOMAXPROCS=%d) produced a different dump (map-order leak or parallel divergence?):\n%s",
+				i, procs, firstDiff(want, got))
 		}
 	}
 }

@@ -2,6 +2,8 @@ package comm
 
 import (
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"dcluster/internal/config"
@@ -142,28 +144,46 @@ func (parity) Len() int { return 3 }
 
 func (parity) ContainsPair(round, id, _ int) bool { return round == 0 || id%2 == round%2 }
 
-// countEngine counts physical-layer Deliver calls.
+// countEngine counts physical-layer Deliver calls. Its sessions share the
+// counter, so the helper sessions of a parallel pass count too.
 type countEngine struct {
 	sinr.Engine
-	calls int
+	calls *atomic.Int64
 }
 
 func (c *countEngine) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr.Reception {
-	c.calls++
+	c.calls.Add(1)
 	return c.Engine.Deliver(txs, listeners, dst)
+}
+
+func (c *countEngine) Session() sinr.Engine {
+	return &countEngine{Engine: c.Engine.Session(), calls: c.calls}
 }
 
 // TestRepeatedPassServedFromMemo pins that a repeated pass never reaches the
 // engine, however many transmitters its rounds hold, and that a different
-// pass reaches it only for the rounds no earlier pass has run.
+// pass reaches it only for the rounds no earlier pass has run — with each
+// pass run round by round, and resolved on two sessions.
 func TestRepeatedPassServedFromMemo(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		t.Run(map[bool]string{false: "serial", true: "parallel"}[parallel], func(t *testing.T) {
+			testRepeatedPassServedFromMemo(t, parallel)
+		})
+	}
+}
+
+func testRepeatedPassServedFromMemo(t *testing.T, parallel bool) {
 	const n = 80 // round 0 of a full pass has 80 transmitters
 	f, err := sinr.NewField(sinr.DefaultParams(), geom.LinePath(n, 0.7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce := &countEngine{Engine: f}
+	ce := &countEngine{Engine: f, calls: new(atomic.Int64)}
+	if parallel {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // read by MustEnv
+	}
 	env := sim.MustEnv(ce, nil, 0)
+	env.SetControl(sim.Control{ForceParallel: parallel})
 	es := NewEventScheduler(parity{})
 	msg := func(v int) sim.Msg { return sim.Msg{Kind: sim.KindSNS, From: int32(env.IDs[v])} }
 	pass := func(senders []int) []sim.Delivery {
@@ -183,12 +203,12 @@ func TestRepeatedPassServedFromMemo(t *testing.T) {
 		all[v] = v
 	}
 	first := pass(all)
-	if ce.calls != 3 {
-		t.Fatalf("first pass made %d Deliver calls, want 3", ce.calls)
+	if calls := ce.calls.Load(); calls != 3 {
+		t.Fatalf("first pass made %d Deliver calls, want 3", calls)
 	}
-	if second := pass(all); !reflect.DeepEqual(second, first) || ce.calls != 3 {
+	if second := pass(all); !reflect.DeepEqual(second, first) || ce.calls.Load() != 3 {
 		t.Errorf("repeated pass: %d new Deliver calls (want 0), identical deliveries %v",
-			ce.calls-3, reflect.DeepEqual(second, first))
+			ce.calls.Load()-3, reflect.DeepEqual(second, first))
 	}
 
 	// Even IDs (odd nodes) plus node 0: round 1 repeats the first pass's
@@ -198,7 +218,7 @@ func TestRepeatedPassServedFromMemo(t *testing.T) {
 		sub = append(sub, v)
 	}
 	pass(sub)
-	if ce.calls != 5 {
-		t.Errorf("subset pass made %d Deliver calls, want 2 (its repeated round served from the memo)", ce.calls-3)
+	if calls := ce.calls.Load(); calls != 5 {
+		t.Errorf("subset pass made %d Deliver calls, want 2 (its repeated round served from the memo)", calls-3)
 	}
 }

@@ -70,12 +70,13 @@ func (el *EventLists) Selector() selectors.PairSelector { return el.sel }
 //     equal sequences in distinct or reused slices, and relabelled clusters
 //     for the same senders correctly re-prepare.
 //
-// Every round then runs through the environment's content-keyed reception
-// memo (Env.StepMemo) under the pass's interned listener set, which is
-// re-interned only when the listener slice's content changes. A repeated
-// pass — or any round repeated from an earlier pass, also by an addressed
-// pass over a subsequence of its listeners — is served from the memo
-// without touching the physical layer.
+// The prepared pass then runs through Env.StepPass, over the environment's
+// content-keyed reception memo under the pass's interned listener set,
+// which is re-interned only when the listener slice's content changes. A
+// repeated pass — or any round repeated from an earlier pass, also by an
+// addressed pass over a subsequence of its listeners — is served from the
+// memo without touching the physical layer, and a costly pass's misses are
+// computed together on several engine sessions.
 //
 // Within a round, transmitters appear in caller order — which downstream
 // float summation and tie-breaking depend on — exactly as in the naive
@@ -89,7 +90,6 @@ type EventScheduler struct {
 	events []int32   // flattened per-round sender positions (prepared pass)
 	active []int32   // rounds with a non-empty bucket, ascending (prepared pass)
 	ends   []int32   // ends[k]: end of active[k]'s bucket in events (prepared pass)
-	txs    []int     // per-round transmitter buffer handed to Step
 	sched  [][]int32 // per-sender schedule views (prepare scratch)
 
 	// Prepared-pass identity (layer 2): buckets are reused only when the
@@ -151,7 +151,7 @@ func eventKey(id, cluster int) uint64 {
 // their addressees read, such as proximity confirmations — passes the
 // addressees as listeners and, as within, the enclosing listener slice they
 // are a subsequence of, so its rounds are served from the memo entries that
-// unaddressed passes over the enclosing set captured (see Env.StepMemo).
+// unaddressed passes over the enclosing set captured (see Env.StepPass).
 func (es *EventScheduler) Pass(
 	env *sim.Env,
 	senders []int,
@@ -160,10 +160,9 @@ func (es *EventScheduler) Pass(
 	listeners, within []int,
 	sink func(round int, ds []sim.Delivery),
 ) {
-	start := env.Rounds()
 	m := es.el.m
 	if len(senders) == 0 {
-		env.NextActive(start + int64(m) + 1)
+		env.NextActive(env.Rounds() + int64(m) + 1)
 		return
 	}
 	if !es.prepared || !slices.Equal(es.lastSenders, senders) ||
@@ -175,19 +174,10 @@ func (es *EventScheduler) Pass(
 	if within != nil {
 		wid = es.within.intern(env, within)
 	}
-	lo := int32(0)
-	for k, i32 := range es.active {
-		i := int(i32)
-		hi := es.ends[k]
-		es.txs = es.txs[:0]
-		for _, j := range es.events[lo:hi] {
-			es.txs = append(es.txs, senders[j])
-		}
-		env.NextActive(start + int64(i) + 1)
-		sink(i, env.StepMemo(es.txs, msgOf, listeners, lid, wid))
-		lo = hi
-	}
-	env.NextActive(start + int64(m) + 1)
+	env.StepPass(&sim.Pass{
+		Len: m, Senders: senders, Events: es.events, Active: es.active, Ends: es.ends,
+		Listeners: listeners, Lid: lid, Within: wid,
+	}, msgOf, sink)
 }
 
 // ensureSchedules fills sched[j] with the ascending scheduled rounds of

@@ -13,14 +13,15 @@ import (
 	"dcluster/internal/sinr"
 )
 
-// TestAddressedRoundsServedFromEnclosingEntry pins StepMemo's addressed
+// TestAddressedRoundsServedFromEnclosingEntry pins StepPass's addressed
 // rounds: a round whose listeners are a subsequence of an enclosing listener
 // set is served from the entry the enclosing set captured, and delivers
 // exactly what Step over the addressees delivers — the same deliveries in
 // the same order, the same msgOf calls and the same statistics — plainly,
 // under a fault decorator with drops, and with a budget so small that the
-// memo keeps emptying. Addressed rounds with no enclosing entry are computed
-// at the addressees alone and then served from their own entry.
+// memo keeps emptying, with passes run round by round and resolved on two
+// sessions. Addressed rounds with no enclosing entry are computed at the
+// addressees alone and then served from their own entry.
 func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
 	pts := geom.UniformDisk(64, 2.8, 5)
 	n := len(pts)
@@ -53,37 +54,46 @@ func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
 	enclosed, alone := sets[:6], sets[6:]
 
 	for _, tc := range []struct {
-		name   string
-		spec   string // fault spec; "" runs without the decorator
-		budget int    // 0 keeps the default
+		name     string
+		spec     string // fault spec; "" runs without the decorator
+		budget   int    // 0 keeps the default
+		parallel bool
 	}{
-		{"plain", "", 0},
-		{"drop", "seed=3;drop=0.05", 0},
-		{"tiny budget", "seed=3;drop=0.05", 24},
+		{"plain", "", 0, false},
+		{"drop", "seed=3;drop=0.05", 0, false},
+		{"tiny budget", "seed=3;drop=0.05", 24, false},
+		{"plain/parallel", "", 0, true},
+		{"drop/parallel", "seed=3;drop=0.05", 0, true},
+		{"tiny budget/parallel", "seed=3;drop=0.05", 24, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			newEnv := func() (*sim.Env, *innerCount) {
+			newEnv := func(parallel bool) (*sim.Env, *innerCount) {
 				f, err := sinr.NewField(sinr.DefaultParams(), pts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				inner := &innerCount{Engine: f}
+				inner := newInnerCount(f)
+				var e *sim.Env
+				ctl := sim.Control{ForceParallel: parallel}
 				if tc.spec == "" {
-					return sim.MustEnv(inner, nil, 0), inner
+					e = sim.MustEnv(inner, nil, 0)
+				} else {
+					spec, err := fault.Parse(tc.spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e = sim.MustEnv(fault.Wrap(inner, &spec), nil, 0)
+					ctl.NodeFaults = &spec
 				}
-				spec, err := fault.Parse(tc.spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := sim.MustEnv(fault.Wrap(inner, &spec), nil, 0)
-				e.SetControl(sim.Control{NodeFaults: &spec})
+				e.SetControl(ctl)
+				sim.SetProcs(e, 2)
 				return e, inner
 			}
-			memo, inner := newEnv()
+			memo, inner := newEnv(tc.parallel)
 			if tc.budget > 0 {
 				sim.SetMemoBudget(memo, tc.budget)
 			}
-			plain, _ := newEnv()
+			plain, _ := newEnv(false)
 			wid := memo.InternListeners(within)
 			lids := []uint32{memo.InternListeners(addressees[0]), memo.InternListeners(addressees[1])}
 			var listeners []int
@@ -98,35 +108,40 @@ func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
 			}
 			memoOf, plainOf := recording(memo, &memoCalls), recording(plain, &plainCalls)
 			addressed := 0
-			step := func(txs []int, isAddressed bool) {
-				memoCalls, plainCalls = memoCalls[:0], plainCalls[:0]
-				var got, want []sim.Delivery
+			// run executes sets as one pass, round by round in the serial
+			// case, and checks every round against Step.
+			run := func(sets [][]int, isAddressed bool) {
+				ls, l := within, wid
 				if isAddressed {
-					got = slices.Clone(memo.StepMemo(txs, memoOf, listeners, lid, wid))
-					want = plain.Step(txs, plainOf, listeners)
-					addressed += len(got)
-				} else {
-					got = slices.Clone(memo.StepMemo(txs, memoOf, within, wid, wid))
-					want = plain.Step(txs, plainOf, within)
+					ls, l = listeners, lid
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d, txs %v, addressed %v: memo delivered %v, Step %v", plain.Rounds(), txs, isAddressed, got, want)
+				check := func(r int, got []sim.Delivery) {
+					txs := sets[r]
+					want := plain.Step(txs, plainOf, ls)
+					if isAddressed {
+						addressed += len(got)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d, txs %v, addressed %v: memo delivered %v, Step %v", plain.Rounds(), txs, isAddressed, got, want)
+					}
+					if !slices.Equal(memoCalls, plainCalls) {
+						t.Fatalf("round %d, txs %v, addressed %v: msgOf calls %v, Step's %v", plain.Rounds(), txs, isAddressed, memoCalls, plainCalls)
+					}
+					memoCalls, plainCalls = memoCalls[:0], plainCalls[:0]
 				}
-				if !slices.Equal(memoCalls, plainCalls) {
-					t.Fatalf("round %d, txs %v, addressed %v: msgOf calls %v, Step's %v", plain.Rounds(), txs, isAddressed, memoCalls, plainCalls)
+				if tc.parallel {
+					memo.StepPass(sim.RoundsPass(sets, ls, l, wid), memoOf, check)
+					return
+				}
+				for r, txs := range sets {
+					check(r, slices.Clone(sim.StepOne(memo, txs, memoOf, ls, l, wid)))
 				}
 			}
 			for pass := 0; pass < 4; pass++ {
 				listeners, lid = addressees[pass%2], lids[pass%2]
-				for _, txs := range enclosed {
-					step(txs, false)
-				}
-				for _, txs := range enclosed {
-					step(txs, true) // served from the enclosing entries
-				}
-				for _, txs := range alone {
-					step(txs, true) // computed at the addressees, then recalled
-				}
+				run(enclosed, false)
+				run(enclosed, true) // served from the enclosing entries
+				run(alone, true)    // computed at the addressees, then recalled
 			}
 			if memo.Stats() != plain.Stats() {
 				t.Errorf("memo stats %+v, Step stats %+v", memo.Stats(), plain.Stats())
@@ -137,11 +152,11 @@ func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
 			// One engine round per enclosed set, and per (addressee set,
 			// transmitter set) pair among the others.
 			live := len(enclosed) + len(addressees)*len(alone)
-			switch {
-			case tc.budget == 0 && inner.calls != live:
-				t.Errorf("inner engine ran %d rounds, want %d", inner.calls, live)
-			case tc.budget > 0 && inner.calls <= live:
-				t.Errorf("inner engine ran %d rounds, want the tiny budget to force recaptures", inner.calls)
+			switch calls := int(inner.calls.Load()); {
+			case tc.budget == 0 && calls != live:
+				t.Errorf("inner engine ran %d rounds, want %d", calls, live)
+			case tc.budget > 0 && calls <= live:
+				t.Errorf("inner engine ran %d rounds, want the tiny budget to force recaptures", calls)
 			}
 
 			if tc.budget > 0 {
@@ -149,13 +164,12 @@ func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
 			}
 			// Warmed, an addressed pass allocates nothing, whether its rounds
 			// are served from the enclosing entries or from their own.
+			pEnclosed := sim.RoundsPass(enclosed, listeners, lid, wid)
+			pAlone := sim.RoundsPass(alone, listeners, lid, wid)
+			sink := func(int, []sim.Delivery) {}
 			if avg := testing.AllocsPerRun(20, func() {
-				for _, txs := range enclosed {
-					memo.StepMemo(txs, hello, listeners, lid, wid)
-				}
-				for _, txs := range alone {
-					memo.StepMemo(txs, hello, listeners, lid, wid)
-				}
+				memo.StepPass(pEnclosed, hello, sink)
+				memo.StepPass(pAlone, hello, sink)
 			}); avg != 0 {
 				t.Errorf("warmed addressed pass allocates %.1f objects, want 0", avg)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"dcluster/internal/sinr"
 )
@@ -64,10 +65,15 @@ type Control struct {
 	// the round single-stepping would) — so it must be sized well above the
 	// protocol's longest natural progress-free stretch.
 	StallWindow int64
+	// ForceParallel computes every pass's misses on all GOMAXPROCS
+	// sessions whenever there are two or more, whatever their measured
+	// cost (see StepPass): a test knob that makes small instances exercise
+	// the parallel resolution.
+	ForceParallel bool
 	// ImpureReception is ignored. Faulted executions share the reception
 	// memo: it holds the fault-free outcome of each (transmitters,
 	// listeners) round, and the fault layer applies per round on top of it
-	// (see StepMemo).
+	// (see StepPass).
 	//
 	// Deprecated: the field has no effect; leave it unset.
 	ImpureReception bool
@@ -116,7 +122,15 @@ type Env struct {
 	recFilt []sinr.Reception // the current round's receptions after faults
 	delBuf  []Delivery
 	passBuf []Delivery
+	stepTxs []int // a pass round's surviving transmitters (see passTxs)
 	memo    envMemo
+
+	// Pass resolution (see StepPass): GOMAXPROCS at creation, the kit of
+	// helper sessions and buffers, and the stop hook installed on every
+	// session.
+	procs  int
+	kit    *PassKit
+	stopFn func() error
 
 	// Membership of the addressed listener set last served from an
 	// enclosing set's memo entry: inSet[v] == inSetID iff v is a member
@@ -204,7 +218,7 @@ func NewEnv(f sinr.Engine, ids []int, idBound int) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Env{F: f, phys: f, IDs: append([]int(nil), ids...), N: idBound, idToNode: idToNode, memo: envMemo{budget: min(memoBudget, memoPerNode*n)}}
+	e := &Env{F: f, phys: f, IDs: append([]int(nil), ids...), N: idBound, idToNode: idToNode, memo: envMemo{budget: min(memoBudget, memoPerNode*n)}, procs: runtime.GOMAXPROCS(0)}
 	if rf, ok := f.(sinr.RoundFilter); ok {
 		e.phys, e.filter = rf.Unwrap(), rf
 	}
@@ -252,19 +266,20 @@ func (e *Env) SetControl(c Control) {
 	}
 	e.idle = 0
 	// Install (or clear — sessions are pooled across runs) the engines'
-	// cooperative mid-round cancellation hook.
-	if sc, ok := e.F.(sinr.StopChecker); ok {
-		if ctx := c.Ctx; ctx != nil {
-			sc.SetStopCheck(func() error {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("%w: %w", ErrCanceled, err)
-				}
-				return nil
-			})
-		} else {
-			sc.SetStopCheck(nil)
+	// cooperative mid-round cancellation hook, on the helper sessions too.
+	e.stopFn = nil
+	if ctx := c.Ctx; ctx != nil {
+		e.stopFn = func() error {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("%w: %w", ErrCanceled, err)
+			}
+			return nil
 		}
 	}
+	if sc, ok := e.F.(sinr.StopChecker); ok {
+		sc.SetStopCheck(e.stopFn)
+	}
+	e.setHelperStops()
 }
 
 // MarkPhase records a labelled timeline point at the current round and
@@ -320,24 +335,39 @@ func (e *Env) Step(txs []int, msgOf func(node int) Msg, listeners []int) []Deliv
 	return e.deliver(txs, e.recBuf, msgOf)
 }
 
-// beginRound opens the next round: the stop check, the clock, scheduled
-// restarts and the down-node filter. It returns the surviving transmitters,
-// already accounted, or nil after closing a round left silent.
+// beginRound opens the next round and strips its down transmitters. It
+// returns the surviving transmitters, already accounted, or nil after
+// closing a round left silent.
 func (e *Env) beginRound(txs []int) []int {
+	e.openRound()
+	txs = e.filterDown(txs)
+	if !e.accountTx(txs) {
+		return nil
+	}
+	return txs
+}
+
+// openRound opens the next round: the stop check, the clock and scheduled
+// restarts.
+func (e *Env) openRound() {
 	e.checkStop()
 	e.rounds++
 	e.fireRestarts()
-	txs = e.filterDown(txs)
+}
+
+// accountTx accounts the opened round's surviving transmitters. It reports
+// false after closing the round when none survive.
+func (e *Env) accountTx(txs []int) bool {
 	e.stats.Transmissions += int64(len(txs))
 	if len(txs) == 0 {
 		if e.ctl.Observer != nil {
 			e.ctl.Observer.OnRound(e.rounds, 0, 0)
 		}
 		e.noteSilentRound()
-		return nil
+		return false
 	}
 	e.recordTx(txs)
-	return txs
+	return true
 }
 
 // deliver applies the round's faults to its fault-free receptions recs

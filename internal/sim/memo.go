@@ -13,13 +13,15 @@ import (
 // memoizes round outcomes keyed by (interned listener set, transmitter
 // sequence): schedule executors intern their listener slice once per pass
 // (content-addressed — reused or rebuilt slices are fine) and execute every
-// round through StepMemo, which replays a previously captured reception
-// sequence when the identical round has run before. While the round stays
-// memoized, neither a repeated pass nor a round repeated inside a different
-// pass reaches the engine. An addressed round — listeners a subsequence of
-// an enclosing set, like a confirmation pass's addressees within the active
-// set — is served from the enclosing set's entry when there is one, keeping
-// the receptions at its listeners.
+// pass through StepPass (pass.go), which replays a previously captured
+// reception sequence when the identical round has run before. While the
+// round stays memoized, neither a repeated pass nor a round repeated inside
+// a different pass reaches the engine. An addressed round — listeners a
+// subsequence of an enclosing set, like a confirmation pass's addressees
+// within the active set — is served from the enclosing set's entry when
+// there is one, keeping the receptions at its listeners. The misses of a
+// costly pass are resolved together and computed on several engine
+// sessions at once; their captures follow the pass's last round.
 //
 // Faulted executions share the memo. Every injected fault only removes
 // receptions from the fault-free outcome (see fault.Engine), so the memo
@@ -65,6 +67,7 @@ type envMemo struct {
 	nextSet uint32
 	entries int // memoized ints (transmitters + receptions)
 	budget  int // cap on entries; shrunk only by tests
+	empties int // times a capture emptied the memo
 
 	// Open-addressed round table (linear probing over flat arrays): slot i
 	// holds hashes[i] and the index+1 of its entry in rounds (0 = empty).
@@ -167,43 +170,59 @@ func (m *envMemo) reset() {
 	m.rounds = m.rounds[:0]
 	m.used = 0
 	m.entries = 0
+	m.empties++
 }
 
-// capture memoizes the fault-free receptions recs of round (lid, txs) in
-// slot, the empty slot roundSlot found for key.
-func (m *envMemo) capture(slot int, key uint64, lid uint32, txs []int, recs []sinr.Reception) {
-	if m.entries+len(txs)+len(recs) > m.budget {
+// capture memoizes round (lid, txs) with nrec fault-free receptions in
+// slot, the empty slot roundSlot found for key, and returns the entry's
+// 2·nrec (receiver, sender) pair slots for the caller to fill.
+func (m *envMemo) capture(slot int, key uint64, lid uint32, txs []int, nrec int) []int32 {
+	if m.entries+len(txs)+nrec > m.budget {
 		m.reset()
 		slot = m.roundSlot(key, lid, txs)
 	}
-	data := m.alloc(len(txs) + 2*len(recs))
+	data := m.alloc(len(txs) + 2*nrec)
 	for k, v := range txs {
 		data[k] = int32(v)
-	}
-	for k, r := range recs {
-		data[len(txs)+2*k] = int32(r.Receiver)
-		data[len(txs)+2*k+1] = int32(r.Sender)
 	}
 	m.rounds = append(m.rounds, roundMemoEntry{key: key, lid: lid, ntx: int32(len(txs)), data: data})
 	m.hashes[slot] = key
 	m.slots[slot] = int32(len(m.rounds))
-	m.entries += len(txs) + len(recs)
+	m.entries += len(txs) + nrec
 	if 2*len(m.rounds) >= len(m.hashes) {
 		m.growRounds()
+	}
+	return data[len(txs):]
+}
+
+// putPairs writes receptions as (receiver, sender) pairs into dst.
+func putPairs(dst []int32, recs []sinr.Reception) {
+	for k, r := range recs {
+		dst[2*k], dst[2*k+1] = int32(r.Receiver), int32(r.Sender)
 	}
 }
 
 // recall decodes the memoized receptions of entry s (a slots value) into
 // dst. With a non-nil mark it keeps only the receptions at receivers v with
 // mark[v] == lid: an addressed round served from the entry of its enclosing
-// listener set (see StepMemo).
+// listener set (see StepPass).
 func (m *envMemo) recall(s int32, mark []uint32, lid uint32, dst []sinr.Reception) []sinr.Reception {
 	en := &m.rounds[s-1]
 	pairs := en.data[en.ntx:]
+	if mark == nil {
+		return appendPairs(dst, pairs)
+	}
 	for k := 0; k+1 < len(pairs); k += 2 {
-		if mark != nil && mark[pairs[k]] != lid {
-			continue
+		if mark[pairs[k]] == lid {
+			dst = append(dst, sinr.Reception{Receiver: int(pairs[k]), Sender: int(pairs[k+1])})
 		}
+	}
+	return dst
+}
+
+// appendPairs decodes (receiver, sender) pairs into dst.
+func appendPairs(dst []sinr.Reception, pairs []int32) []sinr.Reception {
+	for k := 0; k+1 < len(pairs); k += 2 {
 		dst = append(dst, sinr.Reception{Receiver: int(pairs[k]), Sender: int(pairs[k+1])})
 	}
 	return dst
@@ -247,52 +266,6 @@ func (e *Env) InternListeners(listeners []int) uint32 {
 // roundKey is the memo's hash of round (lid, txs).
 func roundKey(lid uint32, txs []int) uint64 {
 	return intsHash(uint64(lid)*0xc2b2ae3d27d4eb4f+14695981039346656037, txs)
-}
-
-// StepMemo is Step with reception memoization: listeners must be the slice
-// whose content was interned as lid (callers intern once per pass). The
-// round's transmitters are first stripped of down nodes; if the identical
-// (lid, transmitters) round has executed before, its captured fault-free
-// receptions are recalled, and otherwise the engine under the fault layer
-// computes them and they are captured. The round's faults then apply to
-// either, exactly as in Step, so results, statistics, observer behaviour and
-// the msgOf calls (once per sender with a surviving reception) are
-// byte-identical to Step.
-//
-// within is the interned id of the enclosing listener set of an addressed
-// round, whose listeners are a subsequence of that set, and equals lid for
-// an unaddressed round. An addressed round is first looked up under
-// (within, transmitters) — typically captured by an unaddressed pass over
-// the enclosing set — and served from it by keeping the receptions at the
-// listeners. This is exact: reception at a listener depends only on the
-// transmitters, every engine emits in listener order, and faults only ever
-// remove receptions. Only when that misses too does it go through the
-// (lid, transmitters) entry as above.
-func (e *Env) StepMemo(txs []int, msgOf func(node int) Msg, listeners []int, lid, within uint32) []Delivery {
-	txs = e.beginRound(txs)
-	if len(txs) == 0 {
-		return nil
-	}
-	m := &e.memo
-	if m.hashes == nil {
-		m.growRounds()
-	}
-	if within != lid {
-		if s := m.slots[m.roundSlot(roundKey(within, txs), within, txs)]; s != 0 {
-			e.markListeners(listeners, lid)
-			e.recBuf = m.recall(s, e.inSet, lid, e.recBuf[:0])
-			return e.deliver(txs, e.recBuf, msgOf)
-		}
-	}
-	key := roundKey(lid, txs)
-	slot := m.roundSlot(key, lid, txs)
-	if s := m.slots[slot]; s != 0 {
-		e.recBuf = m.recall(s, nil, 0, e.recBuf[:0])
-	} else {
-		e.recBuf = e.phys.Deliver(txs, listeners, e.recBuf[:0])
-		m.capture(slot, key, lid, txs, e.recBuf)
-	}
-	return e.deliver(txs, e.recBuf, msgOf)
 }
 
 // markListeners stamps the members of listener set lid (content listeners)

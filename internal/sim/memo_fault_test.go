@@ -3,6 +3,7 @@ package sim_test
 import (
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"dcluster/internal/fault"
@@ -12,15 +13,24 @@ import (
 )
 
 // innerCount counts the Deliver calls that reach the engine under the fault
-// decorator.
+// decorator. Its sessions share the counter, so the helper sessions of a
+// parallel pass count too.
 type innerCount struct {
 	sinr.Engine
-	calls int
+	calls *atomic.Int64
+}
+
+func newInnerCount(f sinr.Engine) *innerCount {
+	return &innerCount{Engine: f, calls: new(atomic.Int64)}
 }
 
 func (c *innerCount) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr.Reception {
-	c.calls++
+	c.calls.Add(1)
 	return c.Engine.Deliver(txs, listeners, dst)
+}
+
+func (c *innerCount) Session() sinr.Engine {
+	return &innerCount{Engine: c.Engine.Session(), calls: c.calls}
 }
 
 func hello(int) sim.Msg { return sim.Msg{Kind: sim.KindHello} }
@@ -44,14 +54,15 @@ func TestFaultedRoundsShareMemo(t *testing.T) {
 	if err := spec.Validate(len(pts), true); err != nil {
 		t.Fatal(err)
 	}
-	newEnv := func() (*sim.Env, *innerCount) {
+	newEnv := func(parallel bool) (*sim.Env, *innerCount) {
 		f, err := sinr.NewField(sinr.DefaultParams(), pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inner := &innerCount{Engine: f}
+		inner := newInnerCount(f)
 		e := sim.MustEnv(fault.Wrap(inner, &spec), nil, 0)
-		e.SetControl(sim.Control{NodeFaults: &spec})
+		e.SetControl(sim.Control{NodeFaults: &spec, ForceParallel: parallel})
+		sim.SetProcs(e, 2)
 		return e, inner
 	}
 	var seq [][]int
@@ -60,39 +71,54 @@ func TestFaultedRoundsShareMemo(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name   string
-		budget int // 0 keeps the default
-		calls  int // inner Deliver calls; 0 skips the check
+		name     string
+		budget   int // 0 keeps the default
+		calls    int // inner Deliver calls; 0 skips the check
+		parallel bool
 	}{
 		// {0}, {2,6} and, in round 4 where node 6 is down, {2}.
-		{"memoized", 0, 3},
-		{"tiny budget", 3, 0},
+		{"memoized", 0, 3, false},
+		{"tiny budget", 3, 0, false},
+		// Two passes of six rounds, resolved on two sessions.
+		{"memoized/parallel", 0, 3, true},
+		{"tiny budget/parallel", 3, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			memo, inner := newEnv()
+			memo, inner := newEnv(tc.parallel)
 			if tc.budget > 0 {
 				sim.SetMemoBudget(memo, tc.budget)
 			}
-			plain, _ := newEnv()
+			plain, _ := newEnv(false)
 			var solo [][]sim.Delivery // node 0's rounds
-			for i, txs := range seq {
-				got := slices.Clone(memo.StepMemo(txs, hello, nil, 0, 0))
+			check := func(i int, got []sim.Delivery) {
+				txs := seq[i]
 				want := plain.Step(txs, hello, nil)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d, txs %v: memo delivered %v, Step %v", i+1, txs, got, want)
 				}
 				if len(txs) == 1 {
-					solo = append(solo, got)
+					solo = append(solo, slices.Clone(got))
+				}
+			}
+			if tc.parallel {
+				for _, half := range [][]int{{0, 6}, {6, 12}} {
+					memo.StepPass(sim.RoundsPass(seq[half[0]:half[1]], nil, 0, 0), hello, func(r int, ds []sim.Delivery) {
+						check(half[0]+r, ds)
+					})
+				}
+			} else {
+				for i, txs := range seq {
+					check(i, sim.StepOne(memo, txs, hello, nil, 0, 0))
 				}
 			}
 			if memo.Stats() != plain.Stats() {
 				t.Errorf("memo stats %+v, Step stats %+v", memo.Stats(), plain.Stats())
 			}
-			if tc.calls > 0 && inner.calls != tc.calls {
-				t.Errorf("inner engine ran %d rounds, want %d (one per distinct surviving transmitter set)", inner.calls, tc.calls)
+			if calls := inner.calls.Load(); tc.calls > 0 && calls != int64(tc.calls) {
+				t.Errorf("inner engine ran %d rounds, want %d (one per distinct surviving transmitter set)", calls, tc.calls)
 			}
-			if tc.budget > 0 && inner.calls <= 3 {
-				t.Errorf("inner engine ran %d rounds, want the tiny budget to force recaptures", inner.calls)
+			if calls := inner.calls.Load(); tc.budget > 0 && calls <= 3 {
+				t.Errorf("inner engine ran %d rounds, want the tiny budget to force recaptures", calls)
 			}
 			varied := false
 			for _, ds := range solo[1:] {

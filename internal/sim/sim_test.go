@@ -88,7 +88,7 @@ func TestStepCountsRounds(t *testing.T) {
 // TestMessageBuiltOncePerSender checks that a round builds each sender's
 // message once, only for senders with a reception, and that the deliveries
 // equal those built with one msgOf call per reception — through Step and
-// through StepMemo's capture and recall alike, across rounds whose messages
+// through StepPass's capture and recall alike, across rounds whose messages
 // differ.
 func TestMessageBuiltOncePerSender(t *testing.T) {
 	// Two groups far apart: node 0 reaches 1–3, node 4 reaches 5–6; node 7
@@ -109,7 +109,7 @@ func TestMessageBuiltOncePerSender(t *testing.T) {
 		if round%2 == 1 {
 			got = e.Step(txs, msgOf, nil)
 		} else {
-			got = e.StepMemo(txs, msgOf, nil, lid, lid)
+			got = StepOne(e, txs, msgOf, nil, lid, lid)
 		}
 		var want []Delivery
 		for _, r := range e.F.Deliver(txs, nil, nil) {

@@ -127,10 +127,10 @@ func TestCancelSparseParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.workers = 4       // force fan-out even on a single-proc runner
-	f.pathOverride = -1 // per-listener chunks, spread across worker goroutines
-	txs := make([]int, 0, 40)
-	for v := 0; v < 4*parallelCutoff; v += 26 {
+	f.workers = 4      // force the stripe fan-out even on a single-proc runner
+	f.pathOverride = 1 // the accumulating path, its cell rows spread over workers
+	txs := make([]int, 0, 2*smallTxCutoff)
+	for v := 0; v < 4*parallelCutoff && len(txs) < 2*smallTxCutoff; v += 13 {
 		txs = append(txs, v)
 	}
 	checkCancelAndRecover(t, f, txs)

@@ -18,8 +18,9 @@ import "dcluster/internal/geom"
 //
 //   - SparseField stores positions only and computes gains lazily through a
 //     spatial grid, truncating negligible far-field interference behind a
-//     conservative aggregate bound and parallelising Deliver across
-//     listeners. Linear memory; scales to hundreds of thousands of nodes.
+//     conservative aggregate bound, and spreads a dense round's cell rows
+//     over worker goroutines. Linear memory; scales to hundreds of thousands
+//     of nodes.
 //
 // Both engines implement the same reception semantics (Eq. 1 with the β > 1
 // strongest-signal rule); for any transmitter set they produce identical
@@ -45,7 +46,10 @@ type Engine interface {
 	// immutable model data (positions, gains, grid geometry) but owns its
 	// per-round scratch state. Sessions of one engine may call Deliver
 	// concurrently with each other; a single session is confined to one
-	// execution at a time, like the engine itself.
+	// goroutine at a time, like the engine itself. A session's Session is
+	// another session of the same engine. Concurrent runs each Deliver on
+	// their own session, and one run computes a schedule pass's missing
+	// rounds on several sessions at once (see sim.Env.StepPass).
 	Session() Engine
 	// CommGraph returns adjacency lists of the communication graph: edges
 	// between nodes at distance ≤ (1−ε)·range.

@@ -173,9 +173,10 @@ func TestSparseMatchesDensePointQueries(t *testing.T) {
 	}
 }
 
-// TestSparseParallelDeterminism checks that the parallel Deliver path (above
-// parallelCutoff listeners) produces the same ordered output as a serial
-// dense run — ordering must not depend on goroutine scheduling.
+// TestSparseParallelDeterminism checks that a dense round over more than
+// parallelCutoff nodes — the accumulating path, its cell rows spread over
+// worker goroutines — produces the same ordered output every time: ordering
+// must not depend on goroutine scheduling.
 func TestSparseParallelDeterminism(t *testing.T) {
 	n := 3 * parallelCutoff
 	pts := geom.UniformDisk(n, math.Sqrt(float64(n)/8), 5)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"dcluster/internal/geom"
@@ -26,12 +25,10 @@ const DefaultFarFactor = 2.0
 // run 0.94 s at a cutoff of 24, 0.87 s at 32, 0.86 s at 48, 0.89 s at 64.
 const smallTxCutoff = 48
 
-// parallelCutoff is the minimum number of listeners before Deliver fans out
-// to the worker pool; below it the goroutine overhead exceeds the work.
+// parallelCutoff is the minimum number of nodes before the accumulating
+// path spreads its cell rows over worker goroutines; below it the goroutine
+// overhead exceeds the work.
 const parallelCutoff = 256
-
-// chunkTarget is the aimed-for number of listeners per parallel chunk.
-const chunkTarget = 128
 
 // superSide is the coarse aggregation factor of the far-field bound: a
 // supercell is superSide × superSide grid cells. Tail bounds enumerate
@@ -60,13 +57,14 @@ func certYes(x, need float64) bool { return x >= need && x-need > certSlack*need
 // decision clears the threshold by the certSlack margin (under the
 // worst-case tail on the grid path); anything closer falls back to the exact
 // dense-order scan. Decisions therefore always match the dense engine.
-// Listener checks fan out over goroutine chunks bounded by 4·GOMAXPROCS,
-// reusing per-chunk result buffers across rounds.
+// Listeners are checked one after another, except on the accumulating path
+// of dense rounds, which spreads its cell rows over GOMAXPROCS goroutines;
+// parallelism across rounds comes from sessions (see Session).
 //
 // Memory is O(n + cells); per-round work is O(|T| + |L|·near(FarRadius))
 // plus the rare exact fallbacks. A SparseField is not safe for concurrent
-// Deliver calls (matching *Field); the internal parallelism is self-managed.
-// Session returns views with private scratch that may Deliver concurrently.
+// Deliver calls (matching *Field). Session returns views with private
+// scratch that may Deliver concurrently.
 type SparseField struct {
 	params Params
 	n      int
@@ -158,10 +156,10 @@ type SparseField struct {
 	workers int
 
 	// stop is the cooperative mid-round cancellation hook (see StopChecker);
-	// nil when no run-scoped control is attached. Polled by the serial
-	// listener loops, the parallel chunk workers and the accumulating path's
-	// cell sweeps; workers bail out cooperatively and the abort panic is
-	// raised from the caller's goroutine only.
+	// nil when no run-scoped control is attached. Polled by the listener
+	// loops and the accumulating path's cell sweeps; its stripe workers bail
+	// out cooperatively and the abort panic is raised from the caller's
+	// goroutine only.
 	stop func() error
 
 	// pathOverride forces the grid-round path selection in tests: > 0 takes
@@ -194,9 +192,7 @@ type sparseScratch struct {
 	cellTx    []int32
 	dirty     []int32 // nonempty cell ids of the current round (for reset)
 	isTx      []bool
-	chunkRes  [][]Reception // reusable per-chunk result buffers
-	chunkErr  []error       // per-chunk stop errors (parallel cancellation)
-	stripeErr []error       // per-stripe stop errors (accumulating path)
+	stripeErr []error // per-stripe stop errors (accumulating path)
 
 	// Supercell transmitter totals, the coarse level of the far-field bound.
 	superCount []int32
@@ -687,101 +683,26 @@ func (f *SparseField) deliverMarked(transmitters []int, listeners []int, dst []R
 		}
 	}
 
-	if count < parallelCutoff || f.workers < 2 {
-		s.outSeq = true
-		for i := 0; i < count; i++ {
-			if i&stopStride == 0 && f.stop != nil {
-				if err := f.stop(); err != nil {
-					return dst, err
-				}
-			}
-			u := i
-			if listeners != nil {
-				u = listeners[i]
-			}
-			if s.isTx[u] {
-				continue
-			}
-			if cs != nil && f.lidx.skip(u, cs) {
-				continue
-			}
-			if v, ok := f.checkListener(u, transmitters, useGrid); ok {
-				dst = append(dst, Reception{Receiver: u, Sender: v})
+	s.outSeq = true
+	for i := 0; i < count; i++ {
+		if i&stopStride == 0 && f.stop != nil {
+			if err := f.stop(); err != nil {
+				return dst, err
 			}
 		}
-		return dst, nil
-	}
-
-	// Parallel path: split the listener range into chunks, one result slice
-	// per chunk, merged in order so output ordering matches the serial path.
-	s.outSeq = false
-	chunks := count / chunkTarget
-	if max := f.workers * 4; chunks > max {
-		chunks = max
-	}
-	if chunks < 2 {
-		chunks = 2
-	}
-	for len(s.chunkRes) < chunks {
-		s.chunkRes = append(s.chunkRes, nil)
-		s.chunkErr = append(s.chunkErr, nil)
-	}
-	per := (count + chunks - 1) / chunks
-	// Rebind the captured variables locally: the goroutine closure would
-	// otherwise force heap cells for the reassigned outer variables on every
-	// Deliver call, including the (dominant) serial rounds.
-	lst, filter := listeners, cs
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		lo := c * per
-		hi := lo + per
-		if hi > count {
-			hi = count
+		u := i
+		if listeners != nil {
+			u = listeners[i]
 		}
-		s.chunkRes[c] = s.chunkRes[c][:0]
-		s.chunkErr[c] = nil
-		if lo >= hi {
+		if s.isTx[u] {
 			continue
 		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			out := s.chunkRes[c]
-			for i := lo; i < hi; i++ {
-				// Cooperative cancellation: workers poll the shared hook (a
-				// context Err, so a trip is visible to every chunk at once)
-				// and bail; the caller raises the abort after Wait.
-				if i&stopStride == 0 && f.stop != nil {
-					if err := f.stop(); err != nil {
-						s.chunkErr[c] = err
-						break
-					}
-				}
-				u := i
-				if lst != nil {
-					u = lst[i]
-				}
-				if s.isTx[u] {
-					continue
-				}
-				if filter != nil && f.lidx.skip(u, filter) {
-					continue
-				}
-				if v, ok := f.checkListener(u, transmitters, useGrid); ok {
-					out = append(out, Reception{Receiver: u, Sender: v})
-				}
-			}
-			s.chunkRes[c] = out
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	for c := 0; c < chunks; c++ {
-		if err := s.chunkErr[c]; err != nil {
-			return dst, err
+		if cs != nil && f.lidx.skip(u, cs) {
+			continue
 		}
-	}
-	for _, out := range s.chunkRes[:chunks] {
-		dst = append(dst, out...)
+		if v, ok := f.checkListener(u, transmitters, useGrid); ok {
+			dst = append(dst, Reception{Receiver: u, Sender: v})
+		}
 	}
 	return dst, nil
 }

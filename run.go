@@ -106,6 +106,7 @@ type runConfig struct {
 	noFastForward bool
 	faults        *fault.Spec
 	stallWindow   int64
+	forceParallel bool  // test knob: see sim.Control.ForceParallel
 	err           error // first invalid option; Run fails fast on it
 }
 
@@ -406,6 +407,9 @@ func (n *Network) Run(ctx context.Context, task Task, opts ...RunOption) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	kit := n.acquireKit()
+	defer n.releaseKit(kit)
+	env.UseKit(kit)
 	env.SetControl(sim.Control{
 		Ctx:                ctx,
 		MaxRounds:          rc.maxRounds,
@@ -413,6 +417,7 @@ func (n *Network) Run(ctx context.Context, task Task, opts ...RunOption) (*Resul
 		DisableFastForward: rc.noFastForward,
 		NodeFaults:         nodeFaults,
 		StallWindow:        rc.stallWindow,
+		ForceParallel:      rc.forceParallel,
 	})
 
 	res := &Result{Algorithm: task.Name()}
