@@ -676,8 +676,8 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 			t.Errorf("engine=%s: silent Step allocates %.1f objects per round, want 0", kind, avg)
 		}
 		// Dense round: half the network transmitting drives the sparse
-		// engine through its accumulating cell-blocked path, which must be
-		// as allocation-free in steady state as the per-listener path.
+		// engine through its cell-blocked grid sweep, which must be as
+		// allocation-free in steady state as the small rounds' direct scan.
 		var dense []int
 		for v := 0; v < len(pts); v += 2 {
 			dense = append(dense, v)

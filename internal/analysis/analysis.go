@@ -162,24 +162,32 @@ func (c Clustering) Validate(pts []geom.Point, r, eps float64, requireAll bool) 
 
 // ClustersPerUnitBall returns the maximum number of distinct clusters with a
 // member inside any unit ball centred at an assigned point — the paper's
-// condition (ii) requires this to be O(1).
+// condition (ii) requires this to be O(1). One stamped set over the cluster
+// ids, reset per point, counts the distinct clusters, so the count
+// allocates nothing per point.
 func ClustersPerUnitBall(pts []geom.Point, clusterOf []int32) int {
+	maxID := int32(-1)
+	for _, φ := range clusterOf {
+		maxID = max(maxID, φ)
+	}
 	grid := geom.NewGridIndex(pts, 1)
-	best := 0
+	var seen flat.BoolStamp
+	best, count := 0, 0
+	visit := func(j int) bool {
+		if φ := clusterOf[j]; φ != Unassigned && !seen.Has(int(φ)) {
+			seen.Set(int(φ))
+			count++
+		}
+		return true
+	}
 	for i := range pts {
 		if clusterOf[i] == Unassigned {
 			continue
 		}
-		seen := map[int32]bool{}
-		grid.ForNeighbors(pts[i], 1, func(j int) bool {
-			if clusterOf[j] != Unassigned {
-				seen[clusterOf[j]] = true
-			}
-			return true
-		})
-		if len(seen) > best {
-			best = len(seen)
-		}
+		seen.Reset(int(maxID) + 1)
+		count = 0
+		grid.ForNeighbors(pts[i], 1, visit)
+		best = max(best, count)
 	}
 	return best
 }

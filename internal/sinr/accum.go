@@ -7,30 +7,17 @@ import (
 	"dcluster/internal/geom"
 )
 
-// This file implements the accumulating, cell-blocked Deliver path of the
-// sparse engine — the dense-round counterpart of the dense engine's
-// transposed row-accumulation. Per-listener scanning re-derives the same
-// window geometry, bucket offsets, and straddling-cell classes for every
-// listener of a cell; above the density threshold this path derives them
-// once per listener cell, streams all of the cell's listeners through the
-// shared window descriptors with register accumulation, and stores each
-// listener's outcome into a flat, epoch-stamped listener-indexed array that
-// a final in-order sweep emits from. Decisions go through the same decide
-// chain as the per-listener path (conservative bounds, exact residual,
-// dense-order fallback), so receptions are byte-identical across paths.
-
-// accumDivisor sets the density threshold of the accumulating path: it is
-// taken when |txs|·accumDivisor ≥ listeners. Below it, per-listener window
-// derivation is cheaper than a full cell sweep; measured on the dense-round
-// benchmark sweep (BenchmarkDeliverDense), the crossover sits near 1/16
-// transmitting.
-const accumDivisor = 16
-
-// useAccumPath reports whether a grid round is dense enough for the
-// accumulating cell-blocked path.
-func useAccumPath(ntx, count int) bool {
-	return ntx > smallTxCutoff && ntx*accumDivisor >= count
-}
+// This file implements the grid path of the sparse engine: every round of
+// more than smallTxCutoff transmitters is decided by an accumulating,
+// cell-blocked sweep over the listener cells — the sparse counterpart of the
+// dense engine's transposed row-accumulation. Each listener cell derives its
+// ±span window geometry, bucket offsets and straddling-cell classes once,
+// streams all of its listeners through the shared window descriptors with
+// register accumulation, and stores each listener's outcome into a flat,
+// epoch-stamped listener-indexed array that a final in-order sweep emits
+// from. Every decision is certified under the certSlack margin or falls back
+// to the dense-order exactCheck, so receptions are byte-identical to the
+// dense engine's.
 
 // winCell is one nonempty bucket cell of a listener-cell window: its
 // transmitter range in the round's CSR bucket array and whether its offset
@@ -42,8 +29,8 @@ type winCell struct {
 
 // deliverAccum is the accumulating Deliver core, entered with the bucket CSR
 // built. It processes listeners cell by cell in row-major order, then emits
-// receptions in listener order from the flat outcome array, matching the
-// per-listener path's output exactly.
+// receptions in listener order from the flat outcome array, the order the
+// Engine contract fixes.
 func (f *SparseField) deliverAccum(txs []int, listeners []int, dst []Reception) ([]Reception, error) {
 	s := f.scr
 	var isL []bool
@@ -152,14 +139,15 @@ func (f *SparseField) deliverAccum(txs []int, listeners []int, dst []Reception) 
 //     window lower bound restLB (computed once per cell) covers the rest.
 //     If max(best, β·noise) cannot clear β·(noise + nearQ + restLB − best),
 //     no sender decodes. In dense rounds this resolves almost every
-//     listener without touching the outer window or any tail bound.
+//     listener without touching the outer window or any tail bound. Its
+//     quick certain-yes twin grants the nearest transmitter when it clears
+//     the ceiling of inner gains, restUB and the cell's out-of-window tail.
 //  3. Full scan — the remaining few re-scan the whole window through the
-//     shared descriptors and go through the standard decide chain
-//     (conservative bounds, tiered residual, dense-order fallback).
+//     shared descriptors and go through the decide chain (conservative
+//     bounds, tiered residual, dense-order fallback).
 //
-// Tiers 1–2 only ever conclude "no reception", and only under the same
-// certSlack margins the decide chain uses, so the outcome is byte-identical
-// to the per-listener path.
+// Tiers 1–2 decide only under the same certSlack margins the decide chain
+// uses, so every outcome equals exactCheck's.
 func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []winCell, d2q []float64) ([]winCell, []winCell, []float64, error) {
 	s := f.scr
 	far2 := f.far * f.far
@@ -338,7 +326,7 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 					}
 				}
 				sender := int32(-1)
-				if v, ok := f.decide(u, txs, &a, f.gLoWinB, wxlo, wxhi, wylo, wyhi, far2); ok {
+				if v, ok := f.decide(u, txs, &a); ok {
 					sender = int32(v)
 				}
 				s.accSender[u] = sender

@@ -2,6 +2,7 @@ package sinr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // Boundary tests for the far-field truncation machinery at exact threshold
-// equality, plus the density-threshold dispatch of the accumulating path.
+// equality, plus the smallTxCutoff dispatch between the direct scan and the
+// grid sweep.
 // Integer-lattice deployments make every coordinate, squared distance and
 // power-of-two gain exactly representable, so pairwise distances land
 // precisely ON the transmission range, the far radius and tie boundaries —
@@ -73,15 +75,10 @@ func TestBoundaryFarRadiusEquality(t *testing.T) {
 	sets = append(sets, checker)
 	for trial, txs := range sets {
 		want := dense.Deliver(txs, nil, nil)
-		for _, ov := range []int8{0, -1, 1} {
-			sparse.pathOverride = ov
-			got := sparse.Deliver(txs, nil, nil)
-			if !sameReceptions(want, got) {
-				t.Fatalf("trial %d override %d (|T|=%d): dense %d receptions != sparse %d",
-					trial, ov, len(txs), len(want), len(got))
-			}
+		if got := sparse.Deliver(txs, nil, nil); !sameReceptions(want, got) {
+			t.Fatalf("trial %d (|T|=%d): dense %d receptions != sparse %d",
+				trial, len(txs), len(want), len(got))
 		}
-		sparse.pathOverride = 0
 	}
 }
 
@@ -132,13 +129,9 @@ func TestBoundaryFarRadiusFloorEquality(t *testing.T) {
 	for v := range pts {
 		all = append(all, v)
 	}
-	for _, ov := range []int8{0, -1, 1} {
-		sparse.pathOverride = ov
-		if want, got := dense.Deliver(all, nil, nil), sparse.Deliver(all, nil, nil); !sameReceptions(want, got) {
-			t.Fatalf("override %d: dense %v != sparse %v", ov, want, got)
-		}
+	if want, got := dense.Deliver(all, nil, nil), sparse.Deliver(all, nil, nil); !sameReceptions(want, got) {
+		t.Fatalf("dense %v != sparse %v", want, got)
 	}
-	sparse.pathOverride = 0
 }
 
 // TestSmallCheckMatchesExact pins the certified small-round scan to its
@@ -205,58 +198,63 @@ func TestSmallCheckMatchesExact(t *testing.T) {
 	}
 }
 
-// TestUseAccumPathDispatch pins the density-threshold dispatch: the
-// accumulating path engages exactly above smallTxCutoff transmitters AND at
-// |txs|·accumDivisor ≥ listeners, including both equalities.
-func TestUseAccumPathDispatch(t *testing.T) {
-	cases := []struct {
-		ntx, count int
-		want       bool
-	}{
-		{smallTxCutoff, smallTxCutoff * accumDivisor, false},          // at the small-round cutoff: direct scan owns it
-		{smallTxCutoff + 1, (smallTxCutoff + 1) * accumDivisor, true}, // first eligible count, threshold equality
-		{100, 100*accumDivisor - 1, true},                             // just above the density threshold
-		{100, 100 * accumDivisor, true},                               // exactly at it (≥, not >)
-		{100, 100*accumDivisor + 1, false},                            // just below
-		{1000, 1000, true},                                            // everyone transmits
-		{0, 1000, false},
-		{25, 1 << 20, false}, // dense tx set, vastly more listeners
-	}
-	for _, c := range cases {
-		if got := useAccumPath(c.ntx, c.count); got != c.want {
-			t.Errorf("useAccumPath(%d, %d) = %v, want %v", c.ntx, c.count, got, c.want)
-		}
-	}
-}
-
-// TestAccumDispatchEngages is the integration form: at a transmitter density
-// just past the threshold the default dispatch and the forced accumulating
-// path must agree with the forced per-listener path (so whichever the
-// dispatch picked, it picked a correct one), and the listener-restricted
-// form must agree too (the count side of the threshold).
+// TestAccumDispatchEngages pins the smallTxCutoff boundary against the
+// dense engine: smallTxCutoff transmitters take the direct scan, one more
+// takes the grid sweep (bucketing bumps the scratch epoch, the direct scan
+// leaves it alone), and both agree with the dense engine for all listeners
+// and for a listener subset. The last case restricts a grid round to more
+// than 16 listeners per transmitter, where the sparse engine once switched
+// to a separate per-listener grid path.
 func TestAccumDispatchEngages(t *testing.T) {
-	n := 512
-	pts := geom.UniformDisk(n, 4, 3)
-	sparse, err := NewSparseField(DefaultParams(), pts)
+	n := 1200
+	pts := geom.UniformDisk(n, math.Sqrt(float64(n)/8), 3)
+	params := DefaultParams()
+	dense, err := NewField(params, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(77))
-	txs := pickDistinct(rng, n, n/accumDivisor+1) // just past the density threshold
-	var some []int
-	for v := 0; v < n; v += 2 {
-		some = append(some, v)
+	sparse, err := NewSparseField(params, pts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, listeners := range [][]int{nil, some} {
-		sparse.pathOverride = 0
-		auto := sparse.Deliver(txs, listeners, nil)
-		sparse.pathOverride = 1
-		acc := sparse.Deliver(txs, listeners, nil)
-		sparse.pathOverride = -1
-		per := sparse.Deliver(txs, listeners, nil)
-		sparse.pathOverride = 0
-		if !sameReceptions(auto, acc) || !sameReceptions(auto, per) {
-			t.Fatalf("path disagreement at the dispatch threshold (listeners=%v)", listeners != nil)
+	var half, most []int
+	for v := 0; v < n; v++ {
+		if v%2 == 0 {
+			half = append(half, v)
 		}
+		if v%4 != 3 {
+			most = append(most, v)
+		}
+	}
+	if len(most) <= 16*(smallTxCutoff+1) {
+		t.Fatalf("wide listener set has %d nodes, want more than %d", len(most), 16*(smallTxCutoff+1))
+	}
+	rng := rand.New(rand.NewSource(77))
+	received := 0
+	for _, c := range []struct {
+		name   string
+		ntx    int
+		subset []int
+	}{
+		{"at the cutoff", smallTxCutoff, half},
+		{"past the cutoff", smallTxCutoff + 1, half},
+		{"past the cutoff, wide listener set", smallTxCutoff + 1, most},
+	} {
+		txs := pickDistinct(rng, n, c.ntx)
+		for _, listeners := range [][]int{nil, c.subset} {
+			before := sparse.scr.epoch
+			got := sparse.Deliver(txs, listeners, nil)
+			if grid := sparse.scr.epoch != before; grid != (c.ntx > smallTxCutoff) {
+				t.Fatalf("%s: |T|=%d took the grid sweep = %v", c.name, c.ntx, grid)
+			}
+			want := dense.Deliver(txs, listeners, nil)
+			if !sameReceptions(want, got) {
+				t.Fatalf("%s (restricted=%v): dense %v != sparse %v", c.name, listeners != nil, want, got)
+			}
+			received += len(want)
+		}
+	}
+	if received == 0 {
+		t.Fatal("no listener received anything; the cases check nothing")
 	}
 }

@@ -110,12 +110,11 @@ func TestCancelDenseTransposed(t *testing.T) {
 }
 
 func TestCancelSparseSerial(t *testing.T) {
-	// Below parallelCutoff listeners the sparse engine scans serially.
+	// A small round: the direct scan's listener loop polls the hook.
 	f, err := NewSparseField(DefaultParams(), geom.UniformDisk(parallelCutoff/2, 3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.pathOverride = -1 // hold the per-listener path even if density flips
 	checkCancelAndRecover(t, f, []int{1, 5, 9})
 }
 
@@ -127,8 +126,8 @@ func TestCancelSparseParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.workers = 4      // force the stripe fan-out even on a single-proc runner
-	f.pathOverride = 1 // the accumulating path, its cell rows spread over workers
+	f.workers = 4 // force the stripe fan-out even on a single-proc runner
+	// More than smallTxCutoff transmitters take the grid sweep.
 	txs := make([]int, 0, 2*smallTxCutoff)
 	for v := 0; v < 4*parallelCutoff && len(txs) < 2*smallTxCutoff; v += 13 {
 		txs = append(txs, v)
@@ -138,15 +137,14 @@ func TestCancelSparseParallel(t *testing.T) {
 
 func TestCancelSparseAccum(t *testing.T) {
 	if testing.Short() {
-		t.Skip("accumulating path needs a larger field")
+		t.Skip("grid sweep needs a larger field")
 	}
 	f, err := NewSparseField(DefaultParams(), geom.UniformDisk(4*parallelCutoff, 6, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.pathOverride = 1 // force the accumulating cell-blocked path
-	// useGrid (and with it the accum dispatch) needs > smallTxCutoff
-	// transmitters.
+	f.workers = 1 // the grid sweep on the caller's goroutine, cell by cell
+	// More than smallTxCutoff transmitters take the grid sweep.
 	txs := make([]int, 0, 2*smallTxCutoff)
 	for v := 0; v < 4*parallelCutoff && len(txs) < 2*smallTxCutoff; v += 17 {
 		txs = append(txs, v)

@@ -14,7 +14,7 @@ import (
 // the accumulating cell-blocked path carries real load. This suite pins the
 // regime the dense-round optimization targets — 25–100% transmitting at n up
 // to 8192 — asserting byte-identical reception sequences against the dense
-// engine and across both sparse grid paths.
+// engine, with the grid sweep run serially and on four stripe workers.
 func TestPropertyDenseRegimeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dense-regime sweep (n up to 8192, dense gain matrix) is the full tier")
@@ -46,15 +46,14 @@ func TestPropertyDenseRegimeEquivalence(t *testing.T) {
 					}
 				}
 				want := dense.Deliver(txs, listeners, nil)
-				for _, ov := range []int8{0, -1, 1} {
-					sparse.pathOverride = ov
+				for _, w := range []int{1, 4} {
+					sparse.workers = w
 					got := sparse.Deliver(txs, listeners, nil)
 					if !sameReceptions(want, got) {
-						t.Fatalf("frac=%v override=%d (|T|=%d): reception mismatch (dense %d, sparse %d receptions)",
-							frac, ov, len(txs), len(want), len(got))
+						t.Fatalf("frac=%v workers=%d (|T|=%d): reception mismatch (dense %d, sparse %d receptions)",
+							frac, w, len(txs), len(want), len(got))
 					}
 				}
-				sparse.pathOverride = 0
 			}
 		})
 	}

@@ -59,10 +59,10 @@ func BenchmarkDeliver(b *testing.B) {
 // BenchmarkDeliverTx sweeps the transmitter-set size at fixed n, the regime
 // map of the transmitter-centric path: |txs| ∈ {1, 16} exercises candidate
 // enumeration (cost scales with activity, not n), n/8 the dense
-// accumulation / grid paths. These numbers, together with BenchmarkDeliver,
+// accumulation / grid sweep. These numbers, together with BenchmarkDeliver,
 // locate the dense↔sparse crossover that SparseAutoThreshold encodes. The
 // sparse-only rows at |txs| ∈ {24, 32, 48, 64} straddle smallTxCutoff, the
-// switch from the direct scan to the grid path.
+// switch from the direct scan to the grid sweep.
 func BenchmarkDeliverTx(b *testing.B) {
 	for _, n := range []int{1024, 4096, 16384} {
 		pts, _ := benchDeployment(n)
@@ -106,10 +106,9 @@ func BenchmarkDeliverTx(b *testing.B) {
 }
 
 // BenchmarkDeliverDense sweeps the transmitting fraction at fixed n through
-// the dense-round regime: 1/32 stays on the per-listener grid path, 1/16 is
-// the accumulating path's dispatch threshold (accumDivisor), and the higher
-// fractions are the shout-down rounds the accumulating cell-blocked path is
-// built for. This sweep measured the accumDivisor crossover.
+// the grid sweep's regime, from 1/32 transmitting (most listener cells exit
+// on the quick tiers) up to the shout-down rounds where every listener's
+// window is full.
 func BenchmarkDeliverDense(b *testing.B) {
 	for _, n := range []int{4096, 16384} {
 		pts, _ := benchDeployment(n)

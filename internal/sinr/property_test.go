@@ -53,9 +53,15 @@ func TestPropertySINRSymmetricGain(t *testing.T) {
 // Deliver(T, L), in the same order. Reception at a listener depends only on
 // T, and every path emits in listener order; the sweep crosses paths on
 // purpose (the dense engine's transposed, marked and transmitter-centric
-// cores; the sparse engine's direct scan, grid, accumulating and parallel
-// cores), since the restricted call often takes another path than the full
-// one.
+// cores; the sparse engine's direct scan and its grid sweep, serial and on
+// four stripe workers), since the restricted call often takes another path
+// than the full one.
+//
+// The sparse row names are kept from when the engine had two grid paths.
+// The accum rows run the default field, the grid rows a field at the
+// minimum far radius (the transmission range, where the tail bounds and
+// the exact residual carry the decisions), and the auto row a session view
+// of the default field.
 func TestPropertyDeliverSubsetListeners(t *testing.T) {
 	n := 800
 	pts := geom.UniformDisk(n, math.Sqrt(float64(n)/8), 41)
@@ -74,19 +80,27 @@ func TestPropertyDeliverSubsetListeners(t *testing.T) {
 		setup   func()
 		cleanup func()
 	}
-	workers := sparse.workers
-	sparseWith := func(name string, ov int8, w int) engine {
-		return engine{name, sparse,
-			func() { sparse.pathOverride, sparse.workers = ov, w },
-			func() { sparse.pathOverride, sparse.workers = 0, workers }}
+	tight, err := NewSparseField(params, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tight.SetFarRadius(params.Range()); err != nil {
+		t.Fatal(err)
+	}
+	session := sparse.Session().(*SparseField)
+	sparseWith := func(name string, f *SparseField, w int) engine {
+		workers := f.workers
+		return engine{name, f,
+			func() { f.workers = w },
+			func() { f.workers = workers }}
 	}
 	engines := []engine{
 		{"dense", dense, func() {}, func() {}},
-		sparseWith("sparse/auto/serial", 0, 1),
-		sparseWith("sparse/grid/serial", -1, 1),
-		sparseWith("sparse/accum/serial", 1, 1),
-		sparseWith("sparse/grid/parallel", -1, 4),
-		sparseWith("sparse/accum/parallel", 1, 4),
+		sparseWith("sparse/auto/serial", session, 1),
+		sparseWith("sparse/grid/serial", tight, 1),
+		sparseWith("sparse/accum/serial", sparse, 1),
+		sparseWith("sparse/grid/parallel", tight, 4),
+		sparseWith("sparse/accum/parallel", sparse, 4),
 	}
 
 	rng := rand.New(rand.NewSource(43))

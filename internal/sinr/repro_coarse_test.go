@@ -8,10 +8,10 @@ import (
 )
 
 // Repro: huge sparse deployment forces newCellGeom to double the cell to
-// 4·range, which exceeds the default far radius (2·range). Then the
-// per-listener scan box (p ± far) no longer covers the inner 3×3 block, and
-// the quick certain-yes tier's interference upper bound misses the adjacent
-// cell's transmitters entirely.
+// 4·range, which exceeds the default far radius (2·range). A scan box of
+// p ± far then no longer covers the inner 3×3 block, and a quick certain-yes
+// tier built on it misses the adjacent cell's transmitters entirely. The
+// grid sweep's ±span window (span ≥ 1) must still see them.
 func TestCoarseGridQuickYes(t *testing.T) {
 	params := DefaultParams() // range = 1, far = 2
 	rng := rand.New(rand.NewSource(7))
@@ -51,11 +51,7 @@ func TestCoarseGridQuickYes(t *testing.T) {
 	t.Logf("cell=%v far=%v n=%d ntx=%d", sparse.cell, sparse.far, len(pts), len(txs))
 
 	want := dense.Deliver(txs, nil, nil)
-	for _, ov := range []int8{0, -1, 1} {
-		sparse.pathOverride = ov
-		got := sparse.Deliver(txs, nil, nil)
-		if !sameReceptions(want, got) {
-			t.Errorf("override %d: dense %v != sparse %v (listener %d)", ov, want, got, u)
-		}
+	if got := sparse.Deliver(txs, nil, nil); !sameReceptions(want, got) {
+		t.Errorf("dense %v != sparse %v (listener %d)", want, got, u)
 	}
 }

@@ -13,16 +13,16 @@ import (
 // truncation radius of a SparseField.
 const DefaultFarFactor = 2.0
 
-// smallTxCutoff: transmitter sets at or below this size are checked by a
+// smallTxCutoff: transmitter sets at or below this size are decided by a
 // direct scan of the whole set (smallCheck, certified in the squared-distance
-// domain) instead of going through the spatial grid — the grid only pays off
-// when the per-listener near neighbourhood is smaller than the whole
-// transmitter set. Measured crossover (BenchmarkDeliverTx sparse rows, each
-// |txs| forced through both paths, min of 7, 2 vCPUs), direct vs grid in ms:
-// n=4096: 0.11/0.17 at 24, 0.30/0.43 at 48, 0.49/0.52 at 64, 0.92/0.79 at 96;
-// n=16384: 0.25/0.30 at 24, 0.71/0.64 at 48, 1.39/1.16 at 96. The crossover
-// lies between 48 and 96 transmitters. cluster-disk-512-sparse agrees: median
-// run 0.94 s at a cutoff of 24, 0.87 s at 32, 0.86 s at 48, 0.89 s at 64.
+// domain) after transmitter-centric listener pruning; larger sets take the
+// grid sweep (deliverAccum). Measured against that sweep (BenchmarkDeliverTx
+// sparse rows, each |txs| forced through both paths, min of 7, 2 vCPUs),
+// direct vs grid in ms: n=4096: 0.21/0.17 at 24, 0.35/0.25 at 32, 0.73/0.45
+// at 48, 1.09/0.56 at 64; n=16384: 0.33/0.29 at 24, 0.57/0.36 at 32,
+// 1.03/0.55 at 48, 1.81/0.77 at 64. On these all-listener rounds the sweep
+// wins from 24 up; the value stays until a run-level measurement, which
+// includes restricted listener sets, moves it.
 const smallTxCutoff = 48
 
 // parallelCutoff is the minimum number of nodes before the accumulating
@@ -48,23 +48,30 @@ func certNo(x, need float64) bool  { return x < need && need-x > certSlack*need 
 func certYes(x, need float64) bool { return x >= need && x-need > certSlack*need }
 
 // SparseField is the scalable SINR engine: it stores node positions only
-// (no n² gain matrix) and computes gains lazily. Small rounds (≤
-// smallTxCutoff transmitters) scan the transmitter slice directly in the
-// squared-distance domain. Larger rounds bucket the transmitters into a
-// uniform spatial grid, scan each listener's near field (≤ FarRadius) and
-// truncate interference beyond it behind a conservative aggregate bound.
-// Either way a reception is granted or denied on the fast sums only when the
-// decision clears the threshold by the certSlack margin (under the
-// worst-case tail on the grid path); anything closer falls back to the exact
-// dense-order scan. Decisions therefore always match the dense engine.
-// Listeners are checked one after another, except on the accumulating path
-// of dense rounds, which spreads its cell rows over GOMAXPROCS goroutines;
-// parallelism across rounds comes from sessions (see Session).
+// (no n² gain matrix) and computes gains lazily. Deliver has two paths:
 //
-// Memory is O(n + cells); per-round work is O(|T| + |L|·near(FarRadius))
-// plus the rare exact fallbacks. A SparseField is not safe for concurrent
-// Deliver calls (matching *Field). Session returns views with private
-// scratch that may Deliver concurrently.
+//   - rounds of at most smallTxCutoff transmitters prune the listeners
+//     around the transmitters' cells and scan the transmitter slice
+//     directly per listener in the squared-distance domain (smallCheck);
+//   - every larger round buckets the transmitters into a uniform spatial
+//     grid and sweeps the listener cells (deliverAccum, accum.go): each
+//     cell derives its ±span window once, its listeners near-sum the window
+//     (≤ FarRadius) and bound the interference beyond it conservatively.
+//
+// Either way a reception is granted or denied on the fast sums only when
+// the decision clears the threshold by the certSlack margin (under the
+// worst-case tail on the grid path); anything closer falls back to the exact
+// dense-order scan. Decisions therefore always match the dense engine. The
+// grid path spreads its cell rows over GOMAXPROCS goroutines on fields of at
+// least parallelCutoff nodes; parallelism across rounds comes from sessions
+// (see Session).
+//
+// Memory is O(n + cells). A small round costs O(|T|·|L'|) for the listeners
+// L' near a transmitter; a grid round O(|T| + cells) plus the window scans
+// of the listeners with a transmitter in range, plus the rare exact
+// fallbacks. A SparseField is not safe for concurrent Deliver calls
+// (matching *Field). Session returns views with private scratch that may
+// Deliver concurrently.
 type SparseField struct {
 	params Params
 	n      int
@@ -133,20 +140,18 @@ type SparseField struct {
 	sodx, sody int
 
 	// Derived scalars of the far-radius geometry, rebuilt with the tables.
-	gFar    float64 // gain at the far radius (the straddling-cell bound)
-	gCell   float64 // gain at one cell side — caps any out-of-inner-block gain
-	gLoWinL float64 // min gain of a window-rejected tx, per-listener window
-	gLoWinB float64 // same for the (wider) per-cell-block window
-	span    int     // cell-block window half-width in cells, ≥ far/cell
+	gFar   float64 // gain at the far radius (the straddling-cell bound)
+	gLoWin float64 // min gain of a transmitter inside a listener's ±span window
+	span   int     // cell-block window half-width in cells, ≥ far/cell
 	// rangeQ2 is the squared-distance cutoff of the quick certain-no scan:
 	// any transmitter whose gain could reach the β·noise reception floor
 	// (within the certSlack margin) lies within it, so a scan confined to
 	// d² ≤ rangeQ2 finds every possible sender candidate exactly.
 	rangeQ2 float64
-	// refineOK gates the per-listener refinement and the accumulating path:
-	// both index the fine tables by scanned-window offsets, so they require
-	// the window to fit inside the fine table (true for any sane far radius;
-	// only an extreme SetFarRadius override disables them).
+	// refineOK gates the per-listener bound refinement and the quick tiers
+	// of the grid path: they index the fine tables by window offsets, so
+	// they require the window to fit inside the fine table (true for any
+	// sane far radius; only an extreme SetFarRadius override disables them).
 	refineOK bool
 	// outOK gates the out-of-window bound tier of the residual: it requires
 	// the ±span window to lie inside the fine 3×3 supercell block (so the
@@ -156,17 +161,11 @@ type SparseField struct {
 	workers int
 
 	// stop is the cooperative mid-round cancellation hook (see StopChecker);
-	// nil when no run-scoped control is attached. Polled by the listener
-	// loops and the accumulating path's cell sweeps; its stripe workers bail
+	// nil when no run-scoped control is attached. Polled by the small-round
+	// listener loop and the grid path's cell sweeps; its stripe workers bail
 	// out cooperatively and the abort panic is raised from the caller's
 	// goroutine only.
 	stop func() error
-
-	// pathOverride forces the grid-round path selection in tests: > 0 takes
-	// the accumulating cell-blocked path, < 0 the per-listener path, 0 (the
-	// default) dispatches on the measured density threshold (useAccumPath).
-	// It never affects the direct-scan path of small rounds.
-	pathOverride int8
 
 	// sessioned flips (atomically — sessions are created concurrently under
 	// Network's pool) once the first session exists; from then on the shared
@@ -192,7 +191,7 @@ type sparseScratch struct {
 	cellTx    []int32
 	dirty     []int32 // nonempty cell ids of the current round (for reset)
 	isTx      []bool
-	stripeErr []error // per-stripe stop errors (accumulating path)
+	stripeErr []error // per-stripe stop errors (grid path)
 
 	// Supercell transmitter totals, the coarse level of the far-field bound.
 	superCount []int32
@@ -202,7 +201,7 @@ type sparseScratch struct {
 	// gathered listener buffer).
 	cand *candScratch
 
-	// Accumulating-path state (see accum.go): per-listener round outcomes
+	// Grid-path state (see accum.go): per-listener round outcomes
 	// behind an epoch stamp, the reusable window-descriptor buffers (one per
 	// parallel stripe), and the listener-restriction bitmap.
 	accSender []int32
@@ -227,19 +226,11 @@ type sparseScratch struct {
 	cellTailOut   []uint64 // upper bound, cells outside the ±span window
 	cellTailOutLo []uint64 // lower bound, cells outside the ±span window
 	tailStamp     []int64
-	// restLB/restUB cache, per listener cell and round, the count-weighted
-	// lower and upper bounds on the interference from the cell's window
-	// beyond the inner 3×3 block — the quick certain-no and certain-yes
-	// tiers of the per-listener path. Same atomic discipline as the tail
-	// bounds above.
-	restLB    []uint64
-	restUB    []uint64
-	restStamp []int64
-	epoch     int64
+	epoch         int64
 
 	// Out-of-window dirty-cell list, cached per (window box, round) for the
 	// exact residual walk: listeners of the same cell share the box, and the
-	// decide chain visits them back to back on the accumulating path. Only
+	// decide chain visits them back to back on the grid path. Only
 	// maintained on sequential rounds (outSeq) — concurrent workers would
 	// race on it, and the plain walk is used instead.
 	outSeq   bool
@@ -305,9 +296,6 @@ func (f *SparseField) newScratch() *sparseScratch {
 		cellTailOut:   make([]uint64, f.nx*f.ny),
 		cellTailOutLo: make([]uint64, f.nx*f.ny),
 		tailStamp:     make([]int64, f.nx*f.ny),
-		restLB:        make([]uint64, f.nx*f.ny),
-		restUB:        make([]uint64, f.nx*f.ny),
-		restStamp:     make([]int64, f.nx*f.ny),
 		accSender:     make([]int32, f.n),
 		accStamp:      make([]int64, f.n),
 		win:           make([]winCell, 0, side*side),
@@ -397,16 +385,12 @@ func (f *SparseField) buildFineTables() {
 		}
 	}
 	f.gFar = gFar
-	f.gCell = gainAt(f.params, f.cell)
 	f.span = int(f.far/f.cell) + 1
 	f.refineOK = f.span <= fineHalf
 	f.outOK = f.span <= superSide
-	// The per-listener scan box is p ± far expanded to the 3×3 inner block,
-	// so a scanned cell's farthest point is max(far+cell, 2·cell) away per
-	// axis — the second term dominates only in the coarse-cell regime where
-	// the cell side exceeds the far radius.
-	f.gLoWinL = gainAt(f.params, math.Sqrt2*math.Max(f.far+f.cell, 2*f.cell))
-	f.gLoWinB = gainAt(f.params, math.Sqrt2*(f.far+2*f.cell))
+	// The ±span window reaches (span+1)·cell ≤ far+2·cell from any point of
+	// the listener's cell per axis.
+	f.gLoWin = gainAt(f.params, math.Sqrt2*(f.far+2*f.cell))
 	// gain(d) ≥ β·noise·(1−certSlack) ⟺ d² ≤ range²·(1−certSlack)^(−2/α):
 	// the ball the quick certain-no scan must cover exactly.
 	f.rangeQ2 = f.params.Range() * f.params.Range() * math.Pow(1-certSlack, -2/f.params.Alpha)
@@ -623,13 +607,13 @@ func (f *SparseField) Deliver(transmitters []int, listeners []int, dst []Recepti
 	for _, v := range transmitters {
 		s.isTx[v] = true
 	}
-	useGrid := len(transmitters) > smallTxCutoff
-	if useGrid {
+	var err error
+	if len(transmitters) > smallTxCutoff {
 		f.bucketTx(transmitters)
-	}
-	dst, err := f.deliverMarked(transmitters, listeners, dst, useGrid)
-	if useGrid {
+		dst, err = f.deliverAccum(transmitters, listeners, dst)
 		f.resetBuckets()
+	} else {
+		dst, err = f.deliverSmall(transmitters, listeners, dst)
 	}
 	for _, v := range transmitters {
 		s.isTx[v] = false
@@ -643,29 +627,16 @@ func (f *SparseField) Deliver(transmitters []int, listeners []int, dst []Recepti
 	return dst
 }
 
-// deliverMarked is the Deliver core, entered with the transmitter bitmap
-// (and, on the grid path, the CSR buckets) already set up; splitting the
+// deliverSmall is the Deliver core of small rounds (≤ smallTxCutoff
+// transmitters), entered with the transmitter bitmap set; splitting the
 // set-up/tear-down out keeps the hot path free of deferred closures, so a
 // steady-state round allocates nothing. A non-nil error means the stop hook
 // tripped mid-round; the caller restores scratch and aborts.
-func (f *SparseField) deliverMarked(transmitters []int, listeners []int, dst []Reception, useGrid bool) ([]Reception, error) {
+func (f *SparseField) deliverSmall(transmitters []int, listeners []int, dst []Reception) ([]Reception, error) {
 	s := f.scr
 	count := f.n
 	if listeners != nil {
 		count = len(listeners)
-	}
-
-	// Dense rounds: switch to the accumulating cell-blocked path (see
-	// accum.go), which derives window geometry once per listener cell
-	// instead of once per listener. Byte-identical by construction — every
-	// decision goes through the same conservative-bound / exact-residual /
-	// dense-order-fallback chain.
-	useAcc := useAccumPath(len(transmitters), count)
-	if f.pathOverride != 0 {
-		useAcc = f.pathOverride > 0
-	}
-	if useGrid && useAcc {
-		return f.deliverAccum(transmitters, listeners, dst)
 	}
 
 	// Transmitter-centric pruning: stamp the cells around the transmitters;
@@ -683,7 +654,6 @@ func (f *SparseField) deliverMarked(transmitters []int, listeners []int, dst []R
 		}
 	}
 
-	s.outSeq = true
 	for i := 0; i < count; i++ {
 		if i&stopStride == 0 && f.stop != nil {
 			if err := f.stop(); err != nil {
@@ -700,14 +670,14 @@ func (f *SparseField) deliverMarked(transmitters []int, listeners []int, dst []R
 		if cs != nil && f.lidx.skip(u, cs) {
 			continue
 		}
-		if v, ok := f.checkListener(u, transmitters, useGrid); ok {
+		if v, ok := f.smallCheck(u, transmitters); ok {
 			dst = append(dst, Reception{Receiver: u, Sender: v})
 		}
 	}
 	return dst, nil
 }
 
-// scanAcc carries the near-scan accumulation of one listener: the exact near
+// scanAcc carries the window scan of one grid-path listener: the exact near
 // sums plus the straddling-cell split counts that feed the per-listener tail
 // refinement in decide.
 type scanAcc struct {
@@ -722,148 +692,15 @@ type scanAcc struct {
 	accStr, rejStr int
 }
 
-// scanCell accumulates one bucket cell's transmitters into a. The straddle
-// flag (precomputed per offset) routes the cell's accepted/rejected split
-// into the refinement counters. Gains here may differ from the dense
-// precompute by ULPs (squared-distance arithmetic instead of Hypot);
-// certSlack keeps such noise from ever deciding a reception, and the exact
-// fallback recomputes dense-identically.
-func (f *SparseField) scanCell(c int, u int, p geom.Point, far2 float64, straddle bool, a *scanAcc) {
-	s := f.scr
-	acc, rej := 0, 0
-	for k := s.cellStart[c]; k < s.cellEnd[c]; k++ {
-		v := int(s.cellTx[k])
-		if v == u {
-			continue
-		}
-		d2 := geom.Dist2(f.pos[v], p)
-		if d2 > far2 {
-			rej++
-			continue
-		}
-		g := gainFromDist2(f.params, d2)
-		a.nearTotal += g
-		acc++
-		switch {
-		case g > a.best:
-			a.best, a.bestV, a.tied = g, v, false
-		case g == a.best && a.bestV >= 0:
-			a.tied = true
-		}
-	}
-	if straddle {
-		a.accStr += acc
-		a.rejStr += rej
-	}
-}
-
-// checkListener decides whether listener u receives anything this round and
-// from whom. With useGrid it scans the near field (≤ far radius) through the
-// buckets and bounds the far tail; without it (small transmitter sets) it
-// scans the whole transmitter slice directly (smallCheck).
-func (f *SparseField) checkListener(u int, txs []int, useGrid bool) (int, bool) {
-	if !useGrid {
-		return f.smallCheck(u, txs)
-	}
-	p := f.pos[u]
-	far2 := f.far * f.far
-	a := scanAcc{bestV: -1}
-
-	// The scan box is p ± far, expanded to always cover the inner 3×3 cell
-	// block: when the grid cell exceeds the far radius (huge sparse areas cap
-	// the cell count, which grows the cell side), p ± far can fall short of
-	// the adjacent cells — which may still hold in-range senders and
-	// near-field interferers.
-	ux, uy := int(f.posCell[u])%f.nx, int(f.posCell[u])/f.nx
-	cxlo := min(int((p.X-f.min.X-f.far)/f.cell), ux-1)
-	cxhi := max(int((p.X-f.min.X+f.far)/f.cell), ux+1)
-	cylo := min(int((p.Y-f.min.Y-f.far)/f.cell), uy-1)
-	cyhi := max(int((p.Y-f.min.Y+f.far)/f.cell), uy+1)
-	if cxlo < 0 {
-		cxlo = 0
-	}
-	if cylo < 0 {
-		cylo = 0
-	}
-	if cxhi >= f.nx {
-		cxhi = f.nx - 1
-	}
-	if cyhi >= f.ny {
-		cyhi = f.ny - 1
-	}
-
-	// Candidate-first ordering: a successful sender must lie within the
-	// transmission range, which the 3×3 cell block around u covers (cell ≥
-	// range). Scan it first; if it holds no transmitter strong enough to
-	// ever clear β·noise, no delivery is possible and the outer ring scan
-	// is skipped entirely — the common case in low-density rounds.
-	ixlo, ixhi := max(cxlo, ux-1), min(cxhi, ux+1)
-	iylo, iyhi := max(cylo, uy-1), min(cyhi, uy+1)
-	refine := f.refineOK
-	for cy := iylo; cy <= iyhi; cy++ {
-		trow := (cy-uy+fineHalf)*fineDim - ux + fineHalf
-		for cx := ixlo; cx <= ixhi; cx++ {
-			f.scanCell(cy*f.nx+cx, u, p, far2, refine && f.fineStr[trow+cx], &a)
-		}
-	}
-	if a.best < f.params.Beta*f.params.Noise*(1-certSlack) {
-		// The strongest in-range signal (if any) is below the β·noise floor
-		// every delivery must clear; transmitters outside the 3×3 block are
-		// beyond the range and weaker still.
-		return -1, false
-	}
-	// Quick certain-no: every transmitter outside the inner block is at
-	// least a cell (≥ range) away, so its gain is capped by β·noise; if even
-	// that ceiling cannot clear β times the interference already accumulated
-	// plus the count-weighted window lower bound, no sender decodes — the
-	// ring scan and every tail bound are skipped. Sound for unscanned
-	// candidates too, since the bound uses max(best, β·noise).
-	if f.refineOK {
-		bu := a.best
-		if bn := f.params.Beta * f.params.Noise; bn > bu {
-			bu = bn
-		}
-		lb, ub := f.cellRestBounds(f.posCell[u])
-		if certNo(bu, f.params.Beta*(f.params.Noise+a.nearTotal+lb-bu)) {
-			return -1, false
-		}
-		// Quick certain-yes: a.best above the one-cell gain cap means the
-		// strongest candidate is an inner-block transmitter and a strict
-		// global maximum (everything outside the block is at least a cell
-		// away). The total interference is upper-bounded without the window
-		// scan — the inner block exactly (accepted members in nearTotal,
-		// the straddling rejects at gFar each), window members by the
-		// count-weighted nearHi sum, the out-of-window tail by the cell's
-		// cached hiOut. Margin rule matches the decide chain's certain-yes.
-		if f.outOK && !a.tied && a.best > f.gCell {
-			_, _, hiOut, _ := f.cellTailBounds(f.posCell[u])
-			if certYes(a.best, f.params.Beta*(f.params.Noise+a.nearTotal+float64(a.rejStr)*f.gFar+ub+hiOut-a.best)) {
-				return a.bestV, true
-			}
-		}
-	}
-	for cy := cylo; cy <= cyhi; cy++ {
-		base := cy * f.nx
-		trow := (cy-uy+fineHalf)*fineDim - ux + fineHalf
-		inRow := cy >= iylo && cy <= iyhi
-		for cx := cxlo; cx <= cxhi; cx++ {
-			if inRow && cx >= ixlo && cx <= ixhi {
-				continue // inner block already scanned
-			}
-			f.scanCell(base+cx, u, p, far2, refine && f.fineStr[trow+cx], &a)
-		}
-	}
-	return f.decide(u, txs, &a, f.gLoWinL, cxlo, cxhi, cylo, cyhi, far2)
-}
-
-// decide applies the SINR decision chain to one listener's accumulated near
-// sums: the zero-tail certain-no, the refined conservative tail bounds
-// (fetched lazily — most listeners exit before needing them), the exact
-// residual tail, and — only within certSlack of the threshold or on an exact
-// gain tie — the dense-order exact fallback. gLoWin is the minimum gain of a
-// window-rejected transmitter for the caller's window shape; the cell range
-// is the scanned window (for the residual complement).
-func (f *SparseField) decide(u int, txs []int, a *scanAcc, gLoWin float64, cxlo, cxhi, cylo, cyhi int, far2 float64) (int, bool) {
+// decide applies the SINR decision chain to one listener's near sums over
+// its ±span window: the zero-tail certain-no, the refined conservative tail
+// bounds (fetched lazily — most listeners exit before needing them), the
+// exact residual tail, and — only within certSlack of the threshold or on an
+// exact gain tie — the dense-order exact fallback. Near-sum gains may differ
+// from the dense precompute by ULPs (squared-distance arithmetic instead of
+// Hypot); certSlack keeps such noise from ever deciding a reception, and the
+// exact fallback recomputes dense-identically.
+func (f *SparseField) decide(u int, txs []int, a *scanAcc) (int, bool) {
 	if a.bestV < 0 {
 		return -1, false
 	}
@@ -885,7 +722,7 @@ func (f *SparseField) decide(u int, txs []int, a *scanAcc, gLoWin float64, cxlo,
 	hi, lo, hiOut, loOut := f.cellTailBounds(f.posCell[u])
 	if f.refineOK {
 		hi -= float64(a.accStr) * f.gFar
-		lo += float64(a.rejStr) * gLoWin
+		lo += float64(a.rejStr) * f.gLoWin
 	}
 	// Certain-no: the true interference is at least near + lower tail.
 	if certNo(best, beta*(noise+a.nearTotal+lo-best)) {
@@ -905,7 +742,7 @@ func (f *SparseField) decide(u int, txs []int, a *scanAcc, gLoWin float64, cxlo,
 	ux, uy := uc%f.nx, uc/f.nx
 	wxlo, wxhi := max(ux-f.span, 0), min(ux+f.span, f.nx-1)
 	wylo, wyhi := max(uy-f.span, 0), min(uy+f.span, f.ny-1)
-	base := a.nearTotal + f.windowTail(u, wxlo, wxhi, wylo, wyhi, cxlo, cxhi, cylo, cyhi, far2)
+	base := a.nearTotal + f.windowTail(u, wxlo, wxhi, wylo, wyhi)
 	if f.outOK {
 		if certNo(best, beta*(noise+base+loOut-best)) {
 			return -1, false
@@ -932,48 +769,36 @@ func (f *SparseField) settle(u int, txs []int, best, total float64, bestV int, t
 	return f.exactCheck(u, txs)
 }
 
-// windowTail returns the exact aggregate gain at listener u from the ±span
-// window members the near scan did not near-sum: members of window cells
-// outside the scanned box [cxlo..cyhi], plus scanned members beyond the far
-// radius. Together with outTail it exactly complements the near scan.
-func (f *SparseField) windowTail(u, wxlo, wxhi, wylo, wyhi, cxlo, cxhi, cylo, cyhi int, far2 float64) float64 {
+// windowTail returns the exact aggregate gain at listener u from the members
+// of its ±span window beyond the far radius — the ones the window scan did
+// not near-sum. Together with outTail it exactly complements the near sum.
+func (f *SparseField) windowTail(u, wxlo, wxhi, wylo, wyhi int) float64 {
 	s := f.scr
 	p := f.pos[u]
+	far2 := f.far * f.far
 	var tail float64
 	for wy := wylo; wy <= wyhi; wy++ {
 		base := wy * f.nx
-		inRow := wy >= cylo && wy <= cyhi
 		for wx := wxlo; wx <= wxhi; wx++ {
 			c := base + wx
-			st, en := s.cellStart[c], s.cellEnd[c]
-			if st == en {
-				continue
-			}
-			inBox := inRow && wx >= cxlo && wx <= cxhi
-			for k := st; k < en; k++ {
-				v := int(s.cellTx[k])
-				if v == u {
-					continue
+			for k := s.cellStart[c]; k < s.cellEnd[c]; k++ {
+				if d2 := geom.Dist2(f.pos[s.cellTx[k]], p); d2 > far2 {
+					tail += gainFromDist2(f.params, d2)
 				}
-				d2 := geom.Dist2(f.pos[v], p)
-				if inBox && d2 <= far2 {
-					continue // already in the near sum
-				}
-				tail += gainFromDist2(f.params, d2)
 			}
 		}
 	}
 	return tail
 }
 
-// outTail returns the exact aggregate gain at listener u from all bucketed
-// transmitters outside the ±span window — one pass over the dirty cells,
-// skipping the window block (whose members windowTail already resolved).
-// Listeners of the same cell share the window box, so on sequential rounds
-// the out-of-window cell list is derived once per (box, round) and reused;
-// the gain sum itself is per listener either way, and its cell order matches
-// the dirty order exactly, so the cached walk is bit-identical to the plain
-// one.
+// outTail returns the exact aggregate gain at listener u (never a
+// transmitter on the grid path) from all bucketed transmitters outside the
+// ±span window — one pass over the dirty cells, skipping the window block
+// (whose members windowTail already resolved). Listeners of the same cell
+// share the window box, so on sequential rounds the out-of-window cell list
+// is derived once per (box, round) and reused; the gain sum itself is per
+// listener either way, and its cell order matches the dirty order exactly,
+// so the cached walk is bit-identical to the plain one.
 func (f *SparseField) outTail(u, wxlo, wxhi, wylo, wyhi int) float64 {
 	s := f.scr
 	p := f.pos[u]
@@ -995,11 +820,7 @@ func (f *SparseField) outTail(u, wxlo, wxhi, wylo, wyhi int) float64 {
 		for _, ci := range s.outCells {
 			c := int(ci)
 			for k := s.cellStart[c]; k < s.cellEnd[c]; k++ {
-				v := int(s.cellTx[k])
-				if v == u {
-					continue
-				}
-				tail += gainFromDist2(f.params, geom.Dist2(f.pos[v], p))
+				tail += gainFromDist2(f.params, geom.Dist2(f.pos[s.cellTx[k]], p))
 			}
 		}
 		return tail
@@ -1011,11 +832,7 @@ func (f *SparseField) outTail(u, wxlo, wxhi, wylo, wyhi int) float64 {
 			continue
 		}
 		for k := s.cellStart[c]; k < s.cellEnd[c]; k++ {
-			v := int(s.cellTx[k])
-			if v == u {
-				continue
-			}
-			tail += gainFromDist2(f.params, geom.Dist2(f.pos[v], p))
+			tail += gainFromDist2(f.params, geom.Dist2(f.pos[s.cellTx[k]], p))
 		}
 	}
 	return tail
@@ -1042,47 +859,6 @@ func (f *SparseField) cellTailBounds(c int32) (hi, lo, hiOut, loOut float64) {
 	atomic.StoreUint64(&s.cellTailOutLo[c], math.Float64bits(loOut))
 	atomic.StoreInt64(&s.tailStamp[c], s.epoch)
 	return hi, lo, hiOut, loOut
-}
-
-// cellRestBounds returns, lazily computed and cached per round, the
-// count-weighted interference bounds of cell c's ±span window beyond the
-// inner 3×3 block: every member of a window cell contributes at least the
-// gain at the cells' maximum rect-to-rect distance (nearLo) and at most the
-// gain at the minimum (nearHi). Feeds the quick certain-no and certain-yes
-// tiers of checkListener. Caller must hold refineOK.
-func (f *SparseField) cellRestBounds(c int32) (lb, ub float64) {
-	s := f.scr
-	if atomic.LoadInt64(&s.restStamp[c]) == s.epoch {
-		return math.Float64frombits(atomic.LoadUint64(&s.restLB[c])),
-			math.Float64frombits(atomic.LoadUint64(&s.restUB[c]))
-	}
-	lb, ub = f.computeRestBounds(int(c))
-	atomic.StoreUint64(&s.restLB[c], math.Float64bits(lb))
-	atomic.StoreUint64(&s.restUB[c], math.Float64bits(ub))
-	atomic.StoreInt64(&s.restStamp[c], s.epoch)
-	return lb, ub
-}
-
-func (f *SparseField) computeRestBounds(c int) (lb, ub float64) {
-	s := f.scr
-	cx, cy := c%f.nx, c/f.nx
-	wxlo, wxhi := max(cx-f.span, 0), min(cx+f.span, f.nx-1)
-	wylo, wyhi := max(cy-f.span, 0), min(cy+f.span, f.ny-1)
-	for wy := wylo; wy <= wyhi; wy++ {
-		base := wy * f.nx
-		trow := (wy-cy+fineHalf)*fineDim - cx + fineHalf
-		inRow := wy >= cy-1 && wy <= cy+1
-		for wx := wxlo; wx <= wxhi; wx++ {
-			if inRow && wx >= cx-1 && wx <= cx+1 {
-				continue // inner block: scanned exactly by every caller
-			}
-			if cnt := s.cellEnd[base+wx] - s.cellStart[base+wx]; cnt != 0 {
-				lb += float64(cnt) * f.nearLo[trow+wx]
-				ub += float64(cnt) * f.nearHi[trow+wx]
-			}
-		}
-	}
-	return lb, ub
 }
 
 // computeCellTail bounds the aggregate interference, at any point of

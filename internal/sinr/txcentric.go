@@ -19,8 +19,8 @@ import (
 // each other — a node whose cell is outside the 3×3 blocks around the
 // transmitters' cells receives nothing and is skipped without evaluating a
 // single gain. This is the same cell-granularity range argument the sparse
-// engine's per-listener early exit has always relied on, now applied from
-// the transmitter side.
+// engine's grid sweep applies from the listener side when it skips cells
+// with no transmitter in their 3×3 block.
 
 // txCandCells is the number of cells marked per transmitter (its 3×3 block);
 // the transmitter-centric path is attempted only when marking is cheap
