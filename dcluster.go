@@ -18,9 +18,9 @@
 //   - The dense engine (EngineDense) precomputes the full 8·n² gain matrix:
 //     fastest per-round at small n, memory-bound beyond a few thousand nodes.
 //   - The sparse engine (EngineSparse) stores positions only, buckets
-//     transmitters into a spatial grid, truncates far-field interference
-//     behind a conservative bound, and parallelises delivery across
-//     listeners: linear memory, scales to 100k+ nodes.
+//     transmitters into a spatial grid, bounds the interference from beyond
+//     each listener's cell window conservatively, and parallelises delivery
+//     across listeners: linear memory, scales to 100k+ nodes.
 //
 // Both produce identical reception sets; EngineAuto (the default) picks
 // dense below SparseAutoThreshold (2048) nodes and sparse above.

@@ -11,20 +11,21 @@ import (
 // more than smallTxCutoff transmitters is decided by an accumulating,
 // cell-blocked sweep over the listener cells — the sparse counterpart of the
 // dense engine's transposed row-accumulation. Each listener cell derives its
-// ±span window geometry, bucket offsets and straddling-cell classes once,
-// streams all of its listeners through the shared window descriptors with
-// register accumulation, and stores each listener's outcome into a flat,
+// ±span window geometry and bucket offsets once, streams all of its
+// listeners through the shared window descriptors with register
+// accumulation, and stores each listener's outcome into a flat,
 // epoch-stamped listener-indexed array that a final in-order sweep emits
-// from. Every decision is certified under the certSlack margin or falls back
-// to the dense-order exactCheck, so receptions are byte-identical to the
-// dense engine's.
+// from. A listener has one exact region, every transmitter of its window,
+// and one bounded region, every cell outside it (α > 2 makes that
+// interference converge, so a count-weighted bound on it is sound). Every
+// decision is certified under the certSlack margin or falls back to the
+// dense-order exactCheck, so receptions are byte-identical to the dense
+// engine's.
 
 // winCell is one nonempty bucket cell of a listener-cell window: its
-// transmitter range in the round's CSR bucket array and whether its offset
-// straddles the far radius (feeding the per-listener bound refinement).
+// transmitter range in the round's CSR bucket array.
 type winCell struct {
 	start, end int32
-	straddle   bool
 }
 
 // deliverAccum is the accumulating Deliver core, entered with the bucket CSR
@@ -141,19 +142,16 @@ func (f *SparseField) deliverAccum(txs []int, listeners []int, dst []Reception) 
 //     no sender decodes. In dense rounds this resolves almost every
 //     listener without touching the outer window or any tail bound. Its
 //     quick certain-yes twin grants the nearest transmitter when it clears
-//     the ceiling of inner gains, restUB and the cell's out-of-window tail.
-//  3. Full scan — the remaining few re-scan the whole window through the
-//     shared descriptors and go through the decide chain (conservative
-//     bounds, tiered residual, dense-order fallback).
+//     the ceiling of inner gains, restUB and the cell's out-of-window bound.
+//  3. Full scan — the remaining few sum the whole window exactly through
+//     the shared descriptors and go through the decide chain (out-of-window
+//     bounds, exact out-of-window walk, dense-order fallback).
 //
 // Tiers 1–2 decide only under the same certSlack margins the decide chain
 // uses, so every outcome equals exactCheck's.
 func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []winCell, d2q []float64) ([]winCell, []winCell, []float64, error) {
 	s := f.scr
-	far2 := f.far * f.far
 	rangeQ2 := f.rangeQ2
-	refine := f.refineOK
-	quickYes := refine && f.outOK
 	cell2 := f.cell * f.cell
 	beta, noise := f.params.Beta, f.params.Noise
 	bn := beta * noise
@@ -173,8 +171,7 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 					return win, outw, d2q, err
 				}
 			}
-			wxlo, wxhi := max(cx-f.span, 0), min(cx+f.span, f.nx-1)
-			wylo, wyhi := max(cy-f.span, 0), min(cy+f.span, f.ny-1)
+			wxlo, wxhi, wylo, wyhi := f.window(c)
 			ixlo, ixhi := max(cx-1, 0), min(cx+1, f.nx-1)
 			iylo, iyhi := max(cy-1, 0), min(cy+1, f.ny-1)
 			// Inner 3×3 descriptors first (the quick pass iterates
@@ -187,13 +184,10 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 			win = win[:0]
 			for wy := iylo; wy <= iyhi; wy++ {
 				base := wy * f.nx
-				trow := (wy-cy+fineHalf)*fineDim - cx + fineHalf
 				for wx := ixlo; wx <= ixhi; wx++ {
-					st, en := s.cellStart[base+wx], s.cellEnd[base+wx]
-					if st == en {
-						continue
+					if st, en := s.cellStart[base+wx], s.cellEnd[base+wx]; st != en {
+						win = append(win, winCell{st, en})
 					}
-					win = append(win, winCell{st, en, refine && f.fineStr[trow+wx]})
 				}
 			}
 			ninner := len(win)
@@ -252,48 +246,42 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 							if st == en {
 								continue
 							}
-							ti := trow + wx
-							if refine {
-								cnt := float64(en - st)
-								restLB += cnt * f.nearLo[ti]
-								restUB += cnt * f.nearHi[ti]
-							}
-							outw = append(outw, winCell{st, en, refine && f.fineStr[ti]})
+							cnt := float64(en - st)
+							restLB += cnt * f.nearLo[trow+wx]
+							restUB += cnt * f.nearHi[trow+wx]
+							outw = append(outw, winCell{st, en})
 						}
 					}
 				}
-				if refine {
-					var nearQ float64
-					for _, d2 := range d2q {
-						nearQ += gainFromDist2(f.params, d2)
-					}
-					gb := gainFromDist2(f.params, mind2)
-					bu := gb
-					if bn > bu {
-						bu = bn
-					}
-					if certNo(bu, beta*(noise+nearQ+restLB-bu)) {
-						s.accSender[u] = -1
+				var nearQ float64
+				for _, d2 := range d2q {
+					nearQ += gainFromDist2(f.params, d2)
+				}
+				gb := gainFromDist2(f.params, mind2)
+				bu := gb
+				if bn > bu {
+					bu = bn
+				}
+				if certNo(bu, beta*(noise+nearQ+restLB-bu)) {
+					s.accSender[u] = -1
+					s.accStamp[u] = epoch
+					continue
+				}
+				// Quick certain-yes: the nearest transmitter's gain is exact
+				// (and the strict maximum: everything outside the inner
+				// block is at least a cell away, farther than mind2 <
+				// cell²), and the total interference is upper-bounded
+				// without scanning the outer window — inner exactly, window
+				// members by the count-weighted nearHi sum, the rest by the
+				// cell's cached out-of-window hi. If the nearest clears β
+				// times that ceiling, it decodes; the margin rule matches
+				// the decide chain's certain-yes exit.
+				if !dup && mind2 < cell2 {
+					hi, _ := f.cellTailBounds(int32(c))
+					if certYes(gb, beta*(noise+nearQ+restUB+hi-gb)) {
+						s.accSender[u] = vq
 						s.accStamp[u] = epoch
 						continue
-					}
-					// Quick certain-yes: the nearest transmitter's gain is
-					// exact (and the strict maximum: everything outside the
-					// inner block is at least a cell away, farther than
-					// mind2 < cell²), and the total interference is
-					// upper-bounded without scanning the outer window —
-					// inner exactly, window members by the count-weighted
-					// nearHi sum, the out-of-window tail by the cell's
-					// cached hiOut. If the nearest clears β times that
-					// ceiling, it decodes; the margin rule matches the
-					// decide chain's certain-yes exit.
-					if quickYes && !dup && mind2 < cell2 {
-						_, _, hiOut, _ := f.cellTailBounds(int32(c))
-						if certYes(gb, beta*(noise+nearQ+restUB+hiOut-gb)) {
-							s.accSender[u] = vq
-							s.accStamp[u] = epoch
-							continue
-						}
 					}
 				}
 				if !outerBuilt {
@@ -302,27 +290,16 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 				}
 				a := scanAcc{bestV: -1}
 				for _, w := range win {
-					acc, rej := 0, 0
 					for k := w.start; k < w.end; k++ {
 						v := int(s.cellTx[k])
-						d2 := geom.Dist2(f.pos[v], p)
-						if d2 > far2 {
-							rej++
-							continue
-						}
-						g := gainFromDist2(f.params, d2)
+						g := gainFromDist2(f.params, geom.Dist2(f.pos[v], p))
 						a.nearTotal += g
-						acc++
 						switch {
 						case g > a.best:
 							a.best, a.bestV, a.tied = g, v, false
 						case g == a.best && a.bestV >= 0:
 							a.tied = true
 						}
-					}
-					if w.straddle {
-						a.accStr += acc
-						a.rejStr += rej
 					}
 				}
 				sender := int32(-1)

@@ -9,18 +9,19 @@ import (
 	"dcluster/internal/geom"
 )
 
-// Boundary tests for the far-field truncation machinery at exact threshold
+// Boundary tests for the grid sweep's window and bounds at exact threshold
 // equality, plus the smallTxCutoff dispatch between the direct scan and the
 // grid sweep.
 // Integer-lattice deployments make every coordinate, squared distance and
 // power-of-two gain exactly representable, so pairwise distances land
-// precisely ON the transmission range, the far radius and tie boundaries —
-// the knife edges where the conservative bounds are forced into the exact
-// residual and the dense-order fallback.
+// precisely ON the transmission range, the window reach and tie boundaries,
+// and every node sits on a cell corner — the knife edges where the
+// conservative bounds are forced into the exact out-of-window walk and the
+// dense-order fallback.
 
 // latticePts builds a k×k integer lattice with unit spacing: neighbor
 // distance exactly the transmission range (1 under DefaultParams), diagonal
-// √2, and distance-2 pairs exactly on a far radius of 2.
+// √2, and distance-2 pairs exactly at the window reach windowReach·Range.
 func latticePts(k int) []geom.Point {
 	pts := make([]geom.Point, 0, k*k)
 	for y := 0; y < k; y++ {
@@ -32,8 +33,8 @@ func latticePts(k int) []geom.Point {
 }
 
 // TestBoundaryFarRadiusEquality pins engine equivalence when many member
-// distances satisfy d² == far² exactly (the accept/reject boundary of the
-// near scan) and gains tie exactly by symmetry (the tie fallback).
+// distances sit exactly at the window reach windowReach·Range (the radius
+// the name refers to) and gains tie exactly by symmetry (the tie fallback).
 func TestBoundaryFarRadiusEquality(t *testing.T) {
 	const k = 12
 	pts := latticePts(k)
@@ -46,12 +47,8 @@ func TestBoundaryFarRadiusEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Far radius exactly 2: lattice pairs at offset (2,0)/(0,2) sit exactly
-	// on the truncation boundary, and offsets (1,1)+(1,-1) produce exact
-	// gain ties among interferers.
-	if err := sparse.SetFarRadius(2); err != nil {
-		t.Fatal(err)
-	}
+	// Lattice pairs at offset (2,0)/(0,2) sit exactly at the window reach,
+	// and offsets (1,1)+(1,-1) produce exact gain ties among interferers.
 	n := len(pts)
 	rng := rand.New(rand.NewSource(8))
 	sets := [][]int{
@@ -107,30 +104,96 @@ func TestBoundaryRangeEqualitySolo(t *testing.T) {
 	}
 }
 
-// TestBoundaryFarRadiusFloorEquality checks SetFarRadius at exactly the
-// transmission range — the lowest legal value, where the near field
-// degenerates to the reception range itself and everything beyond rides on
-// the tail bounds and residual tiers.
+// TestBoundaryFarRadiusFloorEquality runs a 10×10 lattice at the grid
+// sweep's default window, once with every node transmitting (half duplex:
+// nobody receives) and once with every fifth node listening: an interior
+// listener's four neighbours all transmit from exactly the transmission
+// range (the β·noise reception floor), and their gains tie exactly.
 func TestBoundaryFarRadiusFloorEquality(t *testing.T) {
-	pts := latticePts(10)
+	const k = 10
+	pts := latticePts(k)
 	params := DefaultParams()
 	sparse, err := NewSparseField(params, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sparse.SetFarRadius(params.Range()); err != nil {
-		t.Fatalf("far radius exactly at the range floor rejected: %v", err)
-	}
 	dense, err := NewField(params, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []int
+	var all, most []int
 	for v := range pts {
 		all = append(all, v)
+		if x, y := v%k, v/k; (x+2*y)%5 != 0 {
+			most = append(most, v)
+		}
 	}
-	if want, got := dense.Deliver(all, nil, nil), sparse.Deliver(all, nil, nil); !sameReceptions(want, got) {
-		t.Fatalf("dense %v != sparse %v", want, got)
+	for _, txs := range [][]int{all, most} {
+		if want, got := dense.Deliver(txs, nil, nil), sparse.Deliver(txs, nil, nil); !sameReceptions(want, got) {
+			t.Fatalf("|T|=%d: dense %v != sparse %v", len(txs), want, got)
+		}
+	}
+}
+
+// TestCellTailBoundsSound checks the out-of-window bound pair against the
+// exact sum it bounds: after bucketing a round, every listener u of every
+// cell c with nodes must satisfy lo ≤ outTail(u) ≤ hi for (hi, lo) =
+// computeCellTail(c), up to a 1e-12 relative tolerance for summation
+// order. Fields with cell sides of 1, 2 and 4 ranges (window spans 3, 2
+// and 1) are covered, a disk that packs several transmitters into a cell
+// and a square that spreads them, each in rounds on both sides of
+// fineDirtyCutoff (the grid-wide table walk and the fine/coarse levels).
+func TestCellTailBoundsSound(t *testing.T) {
+	const n, tol = 1500, 1e-12
+	params := DefaultParams()
+	rng := rand.New(rand.NewSource(21))
+	for _, k := range []float64{1, 2, 4} {
+		side := 0.7 * k * params.Range() * (math.Sqrt(8*n+64) - 1)
+		deployments := map[string][]geom.Point{
+			"disk":   geom.UniformDisk(n, math.Sqrt(n/8), int64(k)),
+			"square": geom.UniformSquare(n, side, int64(k)),
+		}
+		strategies := map[bool]int{}
+		for name, base := range deployments {
+			f, err := NewSparseField(params, withCornerPins(base, params.Range(), k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.cell != k*params.Range() {
+				t.Fatalf("k=%v %s: cell %v, want %v", k, name, f.cell, k*params.Range())
+			}
+			bounded := 0
+			for _, ntx := range []int{60, n / 3} {
+				for trial := 0; trial < 3; trial++ {
+					f.bucketTx(pickDistinct(rng, n, ntx))
+					strategies[len(f.scr.dirty) < fineDirtyCutoff]++
+					for c := 0; c < f.nx*f.ny; c++ {
+						members := f.lidx.nodes[f.lidx.start[c]:f.lidx.start[c+1]]
+						if len(members) == 0 {
+							continue
+						}
+						hi, lo := f.computeCellTail(c)
+						for _, u := range members {
+							exact := f.outTail(int(u))
+							if lo > exact*(1+tol) || exact > hi*(1+tol) {
+								t.Fatalf("k=%v %s |T|=%d cell %d listener %d: lo %v, exact %v, hi %v",
+									k, name, ntx, c, u, lo, exact, hi)
+							}
+							if lo > 0 {
+								bounded++
+							}
+						}
+					}
+					f.resetBuckets()
+				}
+			}
+			if bounded == 0 {
+				t.Errorf("k=%v %s: no listener had a positive lower bound; the check is vacuous", k, name)
+			}
+		}
+		if strategies[true] == 0 || strategies[false] == 0 {
+			t.Errorf("k=%v: rounds below/at fineDirtyCutoff dirty cells: %d/%d, want both", k, strategies[true], strategies[false])
+		}
 	}
 }
 

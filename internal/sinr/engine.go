@@ -17,10 +17,10 @@ import "dcluster/internal/geom"
 //     lower-bound gadgets require.
 //
 //   - SparseField stores positions only and computes gains lazily through a
-//     spatial grid, truncating negligible far-field interference behind a
-//     conservative aggregate bound, and spreads a dense round's cell rows
-//     over worker goroutines. Linear memory; scales to hundreds of thousands
-//     of nodes.
+//     spatial grid, summing each listener's cell window exactly and bounding
+//     the interference from beyond it by a conservative aggregate, and
+//     spreads a dense round's cell rows over worker goroutines. Linear
+//     memory; scales to hundreds of thousands of nodes.
 //
 // Both engines implement the same reception semantics (Eq. 1 with the β > 1
 // strongest-signal rule); for any transmitter set they produce identical

@@ -96,42 +96,62 @@ func TestPropertyDenseSparseEquivalence(t *testing.T) {
 	}
 }
 
-// TestPropertyEquivalenceTightFarRadius re-runs the equivalence with the far
-// radius forced down to the transmission range — the maximally truncated
-// configuration, where the conservative tail bound and the exact fallback
-// carry the whole correctness burden.
-func TestPropertyEquivalenceTightFarRadius(t *testing.T) {
+// TestPropertyEquivalenceCoarseCells re-runs the equivalence on fields whose
+// corner pins double or quadruple the cell side, so the grid sweep's window
+// spans 2 or 1 cells instead of 3: more transmitters lie outside it, and the
+// out-of-window bounds and the exact out-of-window walk carry more of each
+// decision.
+func TestPropertyEquivalenceCoarseCells(t *testing.T) {
 	n := 512
-	for name, pts := range equivTopologies(n, 7) {
+	for name, base := range equivTopologies(n, 7) {
 		t.Run(name, func(t *testing.T) {
 			params := DefaultParams()
-			dense, err := NewField(params, pts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sparse, err := NewSparseField(params, pts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sparse.SetFarRadius(params.Range()); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(99))
-			for trial := 0; trial < 8; trial++ {
-				var txs []int
-				for v := 0; v < n; v++ {
-					if rng.Float64() < 0.2 {
-						txs = append(txs, v)
+			for _, k := range []float64{2, 4} {
+				pts := withCornerPins(base, params.Range(), k)
+				dense, err := NewField(params, pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sparse, err := NewSparseField(params, pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sparse.cell != k*params.Range() {
+					t.Fatalf("corner pins set cell %v, want %v", sparse.cell, k*params.Range())
+				}
+				t.Run(fmt.Sprintf("span%d", sparse.span), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(99))
+					for trial := 0; trial < 8; trial++ {
+						var txs []int
+						for v := 0; v < n; v++ {
+							if rng.Float64() < 0.2 {
+								txs = append(txs, v)
+							}
+						}
+						want := dense.Deliver(txs, nil, nil)
+						got := sparse.Deliver(txs, nil, nil)
+						if !sameReceptions(want, got) {
+							t.Fatalf("trial %d: dense %v != sparse %v", trial, want, got)
+						}
 					}
-				}
-				want := dense.Deliver(txs, nil, nil)
-				got := sparse.Deliver(txs, nil, nil)
-				if !sameReceptions(want, got) {
-					t.Fatalf("trial %d: dense %v != sparse %v", trial, want, got)
-				}
+				})
 			}
 		})
 	}
+}
+
+// withCornerPins returns pts plus two idle corner pins, centred on their
+// bounding box, that widen the box until newCellGeom settles on a cell side
+// of k·rangeR (k a power of two, the deployment narrower than the pins):
+// the sparse engine's window then spans int(2/k)+1 cells. The pins take the
+// last two node indices.
+func withCornerPins(pts []geom.Point, rangeR, k float64) []geom.Point {
+	lo, hi := geom.BoundingBox(pts)
+	m := math.Sqrt(float64(8*(len(pts)+2) + 64)) // newCellGeom's cell-count cap, per side
+	half := 0.375 * k * rangeR * (m - 1)
+	cx, cy := (lo.X+hi.X)/2, (lo.Y+hi.Y)/2
+	out := append([]geom.Point(nil), pts...)
+	return append(out, geom.Pt(cx-half, cy-half), geom.Pt(cx+half, cy+half))
 }
 
 // TestSparseMatchesDensePointQueries checks the lazy point queries (Gain,
@@ -204,23 +224,6 @@ func TestSparseParallelDeterminism(t *testing.T) {
 		if want[i-1].Receiver >= want[i].Receiver {
 			t.Fatalf("receivers out of order at %d: %v", i, want[i-1:i+1])
 		}
-	}
-}
-
-// TestSparseFarRadiusValidation checks the far-radius floor.
-func TestSparseFarRadiusValidation(t *testing.T) {
-	sparse, err := NewSparseField(DefaultParams(), geom.UniformDisk(16, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sparse.SetFarRadius(0.5); err == nil {
-		t.Fatal("far radius below transmission range accepted")
-	}
-	if err := sparse.SetFarRadius(3); err != nil {
-		t.Fatalf("valid far radius rejected: %v", err)
-	}
-	if got := sparse.FarRadius(); got != 3 {
-		t.Fatalf("FarRadius = %v, want 3", got)
 	}
 }
 

@@ -58,10 +58,10 @@ func TestPropertySINRSymmetricGain(t *testing.T) {
 // than the full one.
 //
 // The sparse row names are kept from when the engine had two grid paths.
-// The accum rows run the default field, the grid rows a field at the
-// minimum far radius (the transmission range, where the tail bounds and
-// the exact residual carry the decisions), and the auto row a session view
-// of the default field.
+// The accum rows run the default field, the grid rows a field whose corner
+// pins quadruple the cell side (window span 1, where the out-of-window
+// bounds and the exact out-of-window walk carry more of the decisions), and
+// the auto row a session view of the default field.
 func TestPropertyDeliverSubsetListeners(t *testing.T) {
 	n := 800
 	pts := geom.UniformDisk(n, math.Sqrt(float64(n)/8), 41)
@@ -80,12 +80,12 @@ func TestPropertyDeliverSubsetListeners(t *testing.T) {
 		setup   func()
 		cleanup func()
 	}
-	tight, err := NewSparseField(params, pts)
+	coarse, err := NewSparseField(params, withCornerPins(pts, params.Range(), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tight.SetFarRadius(params.Range()); err != nil {
-		t.Fatal(err)
+	if coarse.span != 1 {
+		t.Fatalf("coarse field window span %d, want 1", coarse.span)
 	}
 	session := sparse.Session().(*SparseField)
 	sparseWith := func(name string, f *SparseField, w int) engine {
@@ -97,9 +97,9 @@ func TestPropertyDeliverSubsetListeners(t *testing.T) {
 	engines := []engine{
 		{"dense", dense, func() {}, func() {}},
 		sparseWith("sparse/auto/serial", session, 1),
-		sparseWith("sparse/grid/serial", tight, 1),
+		sparseWith("sparse/grid/serial", coarse, 1),
 		sparseWith("sparse/accum/serial", sparse, 1),
-		sparseWith("sparse/grid/parallel", tight, 4),
+		sparseWith("sparse/grid/parallel", coarse, 4),
 		sparseWith("sparse/accum/parallel", sparse, 4),
 	}
 

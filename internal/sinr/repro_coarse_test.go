@@ -8,12 +8,12 @@ import (
 )
 
 // Repro: huge sparse deployment forces newCellGeom to double the cell to
-// 4·range, which exceeds the default far radius (2·range). A scan box of
-// p ± far then no longer covers the inner 3×3 block, and a quick certain-yes
-// tier built on it misses the adjacent cell's transmitters entirely. The
-// grid sweep's ±span window (span ≥ 1) must still see them.
+// 4·range, which exceeds the window reach (2·range). A scan box of
+// p ± 2·range then no longer covers the inner 3×3 block, and a quick
+// certain-yes tier built on it misses the adjacent cell's transmitters
+// entirely. The grid sweep's ±span window (span ≥ 1) must still see them.
 func TestCoarseGridQuickYes(t *testing.T) {
-	params := DefaultParams() // range = 1, far = 2
+	params := DefaultParams() // range = 1
 	rng := rand.New(rand.NewSource(7))
 
 	var pts []geom.Point
@@ -26,8 +26,8 @@ func TestCoarseGridQuickYes(t *testing.T) {
 	// Sender 0.8 away, same cell.
 	s := len(pts)
 	pts = append(pts, geom.Point{X: 42.7, Y: 42})
-	// Interferers in the adjacent cell (9, 10), distance 3.7 > far from u,
-	// but outside the p±far scan box (box starts at x=41.5, cell 10); enough
+	// Interferers in the adjacent cell (9, 10), distance 3.7 > 2 from u,
+	// but outside the p±2 scan box (box starts at x=41.5, cell 10); enough
 	// of them that the round takes the grid path, not the direct scan.
 	var txs []int
 	txs = append(txs, s)
@@ -48,7 +48,7 @@ func TestCoarseGridQuickYes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("cell=%v far=%v n=%d ntx=%d", sparse.cell, sparse.far, len(pts), len(txs))
+	t.Logf("cell=%v span=%d n=%d ntx=%d", sparse.cell, sparse.span, len(pts), len(txs))
 
 	want := dense.Deliver(txs, nil, nil)
 	if got := sparse.Deliver(txs, nil, nil); !sameReceptions(want, got) {

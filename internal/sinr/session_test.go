@@ -50,26 +50,6 @@ func TestSessionDeliverMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestSessionFreezesFarRadius: once a session exists, the shared far
-// radius is frozen — SetFarRadius must refuse rather than let the root and
-// its sessions disagree on the truncation bound.
-func TestSessionFreezesFarRadius(t *testing.T) {
-	sparse, err := NewSparseField(DefaultParams(), geom.UniformDisk(64, 2, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sparse.SetFarRadius(3); err != nil {
-		t.Fatalf("pre-session SetFarRadius: %v", err)
-	}
-	_ = sparse.Session()
-	if err := sparse.SetFarRadius(4); err == nil {
-		t.Error("SetFarRadius must error once a session exists")
-	}
-	if got := sparse.FarRadius(); got != 3 {
-		t.Errorf("far radius = %v, want the pre-session value 3", got)
-	}
-}
-
 // TestSessionsDeliverConcurrently runs many sessions of one shared engine
 // in parallel (the -race proof for the per-run scratch split) and checks
 // every session still matches the serial reference.
