@@ -99,27 +99,6 @@ func TestRunSelectorListenersRestrict(t *testing.T) {
 	}
 }
 
-func TestRoundRobinDeliversInOrder(t *testing.T) {
-	pts := geom.LinePath(4, 0.7)
-	env := newEnv(t, pts)
-	ds := RoundRobin(env, []int{0, 1, 2, 3}, func(v int) sim.Msg {
-		return sim.Msg{Kind: sim.KindPayload, From: int32(env.IDs[v])}
-	}, nil)
-	if env.Rounds() != 4 {
-		t.Errorf("rounds = %d, want 4", env.Rounds())
-	}
-	// Each solo transmitter is heard by its line neighbours.
-	heard := map[int]int{}
-	for _, d := range ds {
-		heard[d.Sender]++
-	}
-	for v := 0; v < 4; v++ {
-		if heard[v] == 0 {
-			t.Errorf("solo transmitter %d unheard", v)
-		}
-	}
-}
-
 func TestSNSDenseSetStillTerminates(t *testing.T) {
 	// Density above γ voids the delivery guarantee but the schedule still
 	// runs its fixed length.

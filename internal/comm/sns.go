@@ -130,16 +130,3 @@ func (s *SNS) Run(env *sim.Env, active []int, msgOf func(node int) sim.Msg, list
 	env.SetPassBuf(all)
 	return all
 }
-
-// RoundRobin executes a trivial 1-by-1 schedule over the given nodes: node
-// j transmits alone in round j. It is collision-free by construction and is
-// used by baselines and bootstrap steps.
-func RoundRobin(env *sim.Env, order []int, msgOf func(node int) sim.Msg, listeners []int) []sim.Delivery {
-	var all []sim.Delivery
-	one := make([]int, 1)
-	for _, v := range order {
-		one[0] = v
-		all = append(all, env.Step(one, msgOf, listeners)...)
-	}
-	return all
-}

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -134,14 +135,72 @@ func TestDGammaR(t *testing.T) {
 func TestGridIndexNeighbors(t *testing.T) {
 	pts := []Point{{0, 0}, {0.5, 0}, {1.5, 0}, {0, 0.9}, {10, 10}}
 	g := NewGridIndex(pts, 1)
-	got := g.Neighbors(Point{0, 0}, 1)
-	want := map[int]bool{0: true, 1: true, 3: true}
-	if len(got) != len(want) {
-		t.Fatalf("Neighbors = %v, want indices %v", got, want)
+	var got []int
+	g.ForNeighbors(Point{0, 0}, 1, func(i int) bool {
+		got = append(got, i)
+		return true
+	})
+	// Cells x outer, y inner: cell (0,0) holds 0, 1 and 3 in ascending order.
+	if want := []int{0, 1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("ForNeighbors = %v, want %v", got, want)
 	}
-	for _, i := range got {
-		if !want[i] {
-			t.Errorf("unexpected neighbour %d", i)
+	got = got[:0]
+	g.ForNeighbors(Point{0, 0}, 1, func(i int) bool {
+		got = append(got, i)
+		return len(got) < 2
+	})
+	if want := []int{0, 1}; !slices.Equal(got, want) {
+		t.Errorf("ForNeighbors stopping after two = %v, want %v", got, want)
+	}
+	// Query points outside the bounding box, near and far.
+	got = got[:0]
+	g.ForNeighbors(Point{-0.5, 0}, 0.6, func(i int) bool {
+		got = append(got, i)
+		return true
+	})
+	if want := []int{0}; !slices.Equal(got, want) {
+		t.Errorf("ForNeighbors from outside the box = %v, want %v", got, want)
+	}
+	g.ForNeighbors(Point{-50, 1e9}, 3, func(i int) bool {
+		t.Errorf("far query reported %d", i)
+		return true
+	})
+}
+
+// TestGridIndexLayout pins the CSR layout the SINR engines read: the cell
+// side doubles until NX·NY ≤ 8n+64, every point sits in the cell its
+// coordinates fall in, and each cell lists its points in ascending order.
+func TestGridIndexLayout(t *testing.T) {
+	for _, tc := range []struct {
+		pts  []Point
+		cell float64
+		want float64
+	}{
+		{UniformSquare(200, 10, 1), 1, 1},
+		{UniformSquare(50, 1000, 2), 1, 64}, // 16·16 cells ≤ 8·50+64 < 32·32
+		{[]Point{{3, 3}}, 0.5, 0.5},
+		{nil, 2, 2},
+	} {
+		g := NewGridIndex(tc.pts, tc.cell)
+		if g.Cell != tc.want || g.NX*g.NY > 8*len(tc.pts)+64 {
+			t.Fatalf("n=%d: cell %v (want %v), %d×%d cells", len(tc.pts), g.Cell, tc.want, g.NX, g.NY)
+		}
+		if len(g.Start) != g.NX*g.NY+1 || int(g.Start[g.NX*g.NY]) != len(tc.pts) {
+			t.Fatalf("n=%d: CSR offsets %d long ending at %d", len(tc.pts), len(g.Start), g.Start[len(g.Start)-1])
+		}
+		min, _ := BoundingBox(tc.pts)
+		for c := 0; c < g.NX*g.NY; c++ {
+			members := g.Nodes[g.Start[c]:g.Start[c+1]]
+			if !slices.IsSorted(members) {
+				t.Fatalf("cell %d members %v not ascending", c, members)
+			}
+			for _, i := range members {
+				p := tc.pts[i]
+				cx, cy := int((p.X-min.X)/g.Cell), int((p.Y-min.Y)/g.Cell)
+				if g.CellOf[i] != int32(c) || cy*g.NX+cx != c {
+					t.Fatalf("point %d at %v listed in cell %d, CellOf %d, coordinates give (%d,%d)", i, p, c, g.CellOf[i], cx, cy)
+				}
+			}
 		}
 	}
 }
@@ -166,17 +225,17 @@ func TestGridIndexMatchesBruteForce(t *testing.T) {
 func TestGridIndexNearestOther(t *testing.T) {
 	pts := []Point{{0, 0}, {3, 0}, {3.5, 0}, {100, 100}}
 	g := NewGridIndex(pts, 1)
-	j, d, ok := g.NearestOther(0)
+	j, d, ok := nearestOther(g, pts, 0)
 	if !ok || j != 1 || math.Abs(d-3) > 1e-12 {
-		t.Errorf("NearestOther(0) = %d,%v,%v", j, d, ok)
+		t.Errorf("nearestOther(0) = %d,%v,%v", j, d, ok)
 	}
-	j, d, ok = g.NearestOther(2)
+	j, d, ok = nearestOther(g, pts, 2)
 	if !ok || j != 1 || math.Abs(d-0.5) > 1e-12 {
-		t.Errorf("NearestOther(2) = %d,%v,%v", j, d, ok)
+		t.Errorf("nearestOther(2) = %d,%v,%v", j, d, ok)
 	}
-	single := NewGridIndex([]Point{{0, 0}}, 1)
-	if _, _, ok := single.NearestOther(0); ok {
-		t.Error("NearestOther on singleton must report !ok")
+	single := []Point{{0, 0}}
+	if _, _, ok := nearestOther(NewGridIndex(single, 1), single, 0); ok {
+		t.Error("nearestOther on singleton must report !ok")
 	}
 }
 

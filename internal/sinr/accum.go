@@ -43,7 +43,7 @@ func (f *SparseField) deliverAccum(txs []int, listeners []int, dst []Reception) 
 	}
 
 	var stopErr error
-	rows := f.ny
+	rows := f.grid.NY
 	if f.workers >= 2 && f.n >= parallelCutoff && rows >= 2 {
 		s.outSeq = false
 		stripes := f.workers
@@ -152,14 +152,16 @@ func (f *SparseField) deliverAccum(txs []int, listeners []int, dst []Reception) 
 func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []winCell, d2q []float64) ([]winCell, []winCell, []float64, error) {
 	s := f.scr
 	rangeQ2 := f.rangeQ2
-	cell2 := f.cell * f.cell
+	grid := f.grid
+	nx, ny := grid.NX, grid.NY
+	cell2 := grid.Cell * grid.Cell
 	beta, noise := f.params.Beta, f.params.Noise
 	bn := beta * noise
 	epoch := s.epoch
 	for cy := y0; cy < y1; cy++ {
-		for cx := 0; cx < f.nx; cx++ {
-			c := cy*f.nx + cx
-			members := f.lidx.nodes[f.lidx.start[c]:f.lidx.start[c+1]]
+		for cx := 0; cx < nx; cx++ {
+			c := cy*nx + cx
+			members := grid.Nodes[grid.Start[c]:grid.Start[c+1]]
 			if len(members) == 0 {
 				continue
 			}
@@ -172,8 +174,8 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 				}
 			}
 			wxlo, wxhi, wylo, wyhi := f.window(c)
-			ixlo, ixhi := max(cx-1, 0), min(cx+1, f.nx-1)
-			iylo, iyhi := max(cy-1, 0), min(cy+1, f.ny-1)
+			ixlo, ixhi := max(cx-1, 0), min(cx+1, nx-1)
+			iylo, iyhi := max(cy-1, 0), min(cy+1, ny-1)
 			// Inner 3×3 descriptors first (the quick pass iterates
 			// win[:ninner]). Range pruning from the listener side: a
 			// deliverable sender must lie within the transmission range,
@@ -183,7 +185,7 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 			// filter.
 			win = win[:0]
 			for wy := iylo; wy <= iyhi; wy++ {
-				base := wy * f.nx
+				base := wy * nx
 				for wx := ixlo; wx <= ixhi; wx++ {
 					if st, en := s.cellStart[base+wx], s.cellEnd[base+wx]; st != en {
 						win = append(win, winCell{st, en})
@@ -235,7 +237,7 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 					outerSwept = true
 					outw = outw[:0]
 					for wy := wylo; wy <= wyhi; wy++ {
-						base := wy * f.nx
+						base := wy * nx
 						trow := (wy-cy+fineHalf)*fineDim - cx + fineHalf
 						inRow := wy >= iylo && wy <= iyhi
 						for wx := wxlo; wx <= wxhi; wx++ {

@@ -159,16 +159,16 @@ func TestCellTailBoundsSound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.cell != k*params.Range() {
-				t.Fatalf("k=%v %s: cell %v, want %v", k, name, f.cell, k*params.Range())
+			if f.grid.Cell != k*params.Range() {
+				t.Fatalf("k=%v %s: cell %v, want %v", k, name, f.grid.Cell, k*params.Range())
 			}
 			bounded := 0
 			for _, ntx := range []int{60, n / 3} {
 				for trial := 0; trial < 3; trial++ {
 					f.bucketTx(pickDistinct(rng, n, ntx))
 					strategies[len(f.scr.dirty) < fineDirtyCutoff]++
-					for c := 0; c < f.nx*f.ny; c++ {
-						members := f.lidx.nodes[f.lidx.start[c]:f.lidx.start[c+1]]
+					for c := 0; c < f.grid.NX*f.grid.NY; c++ {
+						members := f.grid.Nodes[f.grid.Start[c]:f.grid.Start[c+1]]
 						if len(members) == 0 {
 							continue
 						}

@@ -22,6 +22,12 @@ import "dcluster/internal/geom"
 //     spreads a dense round's cell rows over worker goroutines. Linear
 //     memory; scales to hundreds of thousands of nodes.
 //
+// Both engines index positional nodes with one spatial grid,
+// geom.GridIndex, with cell side at least the transmission range: Field
+// prunes small rounds' listeners through it (txcentric.go), SparseField also
+// buckets transmitters and sweeps listener cells on its cell geometry. The
+// geometry queries (density, degree, communication graph) use the same type.
+//
 // Both engines implement the same reception semantics (Eq. 1 with the β > 1
 // strongest-signal rule); for any transmitter set they produce identical
 // reception sets.

@@ -116,8 +116,8 @@ func TestPropertyEquivalenceCoarseCells(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sparse.cell != k*params.Range() {
-					t.Fatalf("corner pins set cell %v, want %v", sparse.cell, k*params.Range())
+				if sparse.grid.Cell != k*params.Range() {
+					t.Fatalf("corner pins set cell %v, want %v", sparse.grid.Cell, k*params.Range())
 				}
 				t.Run(fmt.Sprintf("span%d", sparse.span), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(99))
@@ -141,13 +141,13 @@ func TestPropertyEquivalenceCoarseCells(t *testing.T) {
 }
 
 // withCornerPins returns pts plus two idle corner pins, centred on their
-// bounding box, that widen the box until newCellGeom settles on a cell side
-// of k·rangeR (k a power of two, the deployment narrower than the pins):
-// the sparse engine's window then spans int(2/k)+1 cells. The pins take the
-// last two node indices.
+// bounding box, that widen the box until geom.NewGridIndex settles on a
+// cell side of k·rangeR (k a power of two, the deployment narrower than the
+// pins): the sparse engine's window then spans int(2/k)+1 cells. The pins
+// take the last two node indices.
 func withCornerPins(pts []geom.Point, rangeR, k float64) []geom.Point {
 	lo, hi := geom.BoundingBox(pts)
-	m := math.Sqrt(float64(8*(len(pts)+2) + 64)) // newCellGeom's cell-count cap, per side
+	m := math.Sqrt(float64(8*(len(pts)+2) + 64)) // geom.NewGridIndex's cell-count cap, per side
 	half := 0.375 * k * rangeR * (m - 1)
 	cx, cy := (lo.X+hi.X)/2, (lo.Y+hi.Y)/2
 	out := append([]geom.Point(nil), pts...)
@@ -239,7 +239,7 @@ func pickDistinct(rng *rand.Rand, n, k int) []int {
 
 // TestTxCentricMatchesFullScan pins the transmitter-centric pruning against
 // the unpruned scan within the dense engine itself: a distance-matrix field
-// (which has no positions, hence no listener index) built from the exact
+// (which has no positions, hence no grid index) built from the exact
 // pairwise distances of a positional field must deliver identically across
 // every transmitter regime. Any wrong pruning of a would-be receiver shows
 // up here directly, without the sparse engine in the loop.
@@ -264,8 +264,8 @@ func TestTxCentricMatchesFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fullScan.lidx != nil || withIdx.lidx == nil {
-		t.Fatal("test preconditions: positional field must have a listener index, distance field must not")
+	if fullScan.grid != nil || withIdx.grid == nil {
+		t.Fatal("test preconditions: positional field must have a grid index, distance field must not")
 	}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {

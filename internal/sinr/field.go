@@ -34,7 +34,7 @@ type Field struct {
 	gain   [][]float64  // gain[v][u]: received power at u from transmitter v
 	pos    []geom.Point // nil for distance-matrix fields
 
-	lidx *listenerIndex // transmitter-centric listener index; nil without positions
+	grid *geom.GridIndex // transmitter-centric listener index; nil without positions
 
 	scratch []bool // reusable transmitter bitmap for Deliver
 	cand    *candScratch
@@ -61,7 +61,7 @@ func NewField(params Params, pos []geom.Point) (*Field, error) {
 		f.gain[v] = buf[v*n : (v+1)*n]
 	}
 	fillGains(params, f.pos, buf, runtime.GOMAXPROCS(0))
-	f.lidx = newListenerIndex(newCellGeom(params.Range(), f.pos), f.pos)
+	f.grid = geom.NewGridIndex(f.pos, params.Range())
 	return f, nil
 }
 
@@ -132,7 +132,7 @@ func fillGains(params Params, pos []geom.Point, buf []float64, workers int) {
 
 // NewFieldFromDistances builds a field from an explicit symmetric distance
 // matrix (used by the lower-bound gadgets where coordinates would lose
-// precision). dist[v][u] must be positive for u ≠ v.
+// precision). dist[v][u] must be positive for u ≠ v and equal to dist[u][v].
 func NewFieldFromDistances(params Params, dist [][]float64) (*Field, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -152,6 +152,9 @@ func NewFieldFromDistances(params Params, dist [][]float64) (*Field, error) {
 			}
 			if dist[v][u] <= 0 {
 				return nil, fmt.Errorf("sinr: non-positive distance %v between %d and %d", dist[v][u], v, u)
+			}
+			if u < v && dist[v][u] != dist[u][v] {
+				return nil, fmt.Errorf("sinr: asymmetric distances %v from %d to %d, %v back", dist[v][u], v, u, dist[u][v])
 			}
 			f.gain[v][u] = gainAt(params, dist[v][u])
 		}
@@ -262,11 +265,11 @@ func (f *Field) deliverMarked(transmitters []int, listeners []int, dst []Recepti
 		return f.deliverTransposed(transmitters, listeners, dst)
 	}
 	var cs *candScratch
-	if f.lidx != nil && txCandCells*len(transmitters) < count {
+	if f.grid != nil && txCandCells*len(transmitters) < count {
 		cs = f.candScratch()
-		total := f.lidx.mark(transmitters, cs)
+		total := cs.mark(transmitters)
 		if listeners == nil && total*enumDivisor <= count {
-			listeners = f.lidx.gather(cs)
+			listeners = cs.gather()
 			cs = nil // enumerated candidates need no per-listener filter
 		}
 	}
@@ -277,7 +280,7 @@ func (f *Field) deliverMarked(transmitters []int, listeners []int, dst []Recepti
 					return dst, err
 				}
 			}
-			if isTx[u] || (cs != nil && f.lidx.skip(u, cs)) {
+			if isTx[u] || (cs != nil && cs.skip(u)) {
 				continue
 			}
 			if v, ok := f.decide(u, transmitters); ok {
@@ -291,7 +294,7 @@ func (f *Field) deliverMarked(transmitters []int, listeners []int, dst []Recepti
 					return dst, err
 				}
 			}
-			if isTx[u] || (cs != nil && f.lidx.skip(u, cs)) {
+			if isTx[u] || (cs != nil && cs.skip(u)) {
 				continue
 			}
 			if v, ok := f.decide(u, transmitters); ok {
@@ -368,32 +371,20 @@ func (f *Field) deliverTransposed(transmitters []int, listeners []int, dst []Rec
 }
 
 // decide resolves listener u for one round: the winning sender, if any.
-// For geometric fields the gain matrix is symmetric (d(u,v) = d(v,u) and
-// both entries come from the same formula), so u's incoming gains are read
-// from row u — sequential memory — instead of one column element per
-// transmitter row. Distance-matrix fields keep the column access (symmetry
-// of the input matrix is documented but not enforced).
+// The gain matrix is symmetric (geometric fields compute each pair once and
+// mirror it; distance matrices are checked symmetric on construction), so
+// u's incoming gains are read from row u — sequential memory — instead of
+// one column element per transmitter row.
 func (f *Field) decide(u int, transmitters []int) (int, bool) {
 	var total, best float64
 	bestV := -1
-	if f.pos != nil {
-		row := f.gain[u]
-		for _, v := range transmitters {
-			g := row[v]
-			total += g
-			if g > best {
-				best = g
-				bestV = v
-			}
-		}
-	} else {
-		for _, v := range transmitters {
-			g := f.gain[v][u]
-			total += g
-			if g > best {
-				best = g
-				bestV = v
-			}
+	row := f.gain[u]
+	for _, v := range transmitters {
+		g := row[v]
+		total += g
+		if g > best {
+			best = g
+			bestV = v
 		}
 	}
 	if bestV >= 0 && best >= f.params.Beta*(f.params.Noise+total-best) {
@@ -413,13 +404,13 @@ func (f *Field) txScratch() []bool {
 // candScratch returns the session's transmitter-centric scratch.
 func (f *Field) candScratch() *candScratch {
 	if f.cand == nil {
-		f.cand = f.lidx.newCandScratch()
+		f.cand = newCandScratch(f.grid)
 	}
 	return f.cand
 }
 
 // Session returns a view of the field with its own Deliver scratch. The gain
-// matrix, positions and listener index are shared (they are immutable after
+// matrix, positions and grid index are shared (they are immutable after
 // construction), so sessions are cheap and may Deliver concurrently with
 // each other.
 func (f *Field) Session() Engine {

@@ -71,7 +71,7 @@ func FuzzDeliverPathEquivalence(f *testing.F) {
 		want := dense.Deliver(txs, listeners, nil)
 		if got := sparse.Deliver(txs, listeners, nil); !sameReceptions(want, got) {
 			t.Fatalf("|T|=%d, n=%d, cell=%v: dense %v != sparse %v",
-				len(txs), n, sparse.cell, want, got)
+				len(txs), n, sparse.grid.Cell, want, got)
 		}
 	})
 }

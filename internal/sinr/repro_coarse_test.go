@@ -7,8 +7,8 @@ import (
 	"dcluster/internal/geom"
 )
 
-// Repro: huge sparse deployment forces newCellGeom to double the cell to
-// 4·range, which exceeds the window reach (2·range). A scan box of
+// Repro: huge sparse deployment forces geom.NewGridIndex to double the cell
+// to 4·range, which exceeds the window reach (2·range). A scan box of
 // p ± 2·range then no longer covers the inner 3×3 block, and a quick
 // certain-yes tier built on it misses the adjacent cell's transmitters
 // entirely. The grid sweep's ±span window (span ≥ 1) must still see them.
@@ -48,7 +48,7 @@ func TestCoarseGridQuickYes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("cell=%v span=%d n=%d ntx=%d", sparse.cell, sparse.span, len(pts), len(txs))
+	t.Logf("cell=%v span=%d n=%d ntx=%d", sparse.grid.Cell, sparse.span, len(pts), len(txs))
 
 	want := dense.Deliver(txs, nil, nil)
 	if got := sparse.Deliver(txs, nil, nil); !sameReceptions(want, got) {

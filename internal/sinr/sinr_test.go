@@ -228,6 +228,9 @@ func TestNewFieldFromDistancesErrors(t *testing.T) {
 	if _, err := NewFieldFromDistances(DefaultParams(), [][]float64{{0, 0}, {0, 0}}); err == nil {
 		t.Error("zero off-diagonal distance must error")
 	}
+	if _, err := NewFieldFromDistances(DefaultParams(), [][]float64{{0, 1, 2}, {1, 0, 1}, {2, 1.5, 0}}); err == nil {
+		t.Error("asymmetric matrix must error")
+	}
 	bad := DefaultParams()
 	bad.Alpha = 1
 	if _, err := NewFieldFromDistances(bad, [][]float64{{0}}); err == nil {

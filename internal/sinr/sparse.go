@@ -57,12 +57,13 @@ func certYes(x, need float64) bool { return x >= need && x-need > certSlack*need
 //   - rounds of at most smallTxCutoff transmitters prune the listeners
 //     around the transmitters' cells and scan the transmitter slice
 //     directly per listener in the squared-distance domain (smallCheck);
-//   - every larger round buckets the transmitters into a uniform spatial
-//     grid and sweeps the listener cells (deliverAccum, accum.go): each
-//     cell derives its ±span window once, its listeners sum every window
-//     transmitter exactly, and only the transmitters outside the window are
-//     bounded, by a count-weighted per-cell pair (computeCellTail) or, when
-//     that pair cannot decide, summed exactly too (outTail).
+//   - every larger round buckets the transmitters into the cells of the
+//     field's spatial grid and sweeps the listener cells (deliverAccum,
+//     accum.go): each cell derives its ±span window once, its listeners sum
+//     every window transmitter exactly, and only the transmitters outside
+//     the window are bounded, by a count-weighted per-cell pair
+//     (computeCellTail) or, when that pair cannot decide, summed exactly too
+//     (outTail).
 //
 // Either way a reception is granted or denied on the fast sums only when
 // the decision clears the threshold by the certSlack margin (under the
@@ -71,6 +72,9 @@ func certYes(x, need float64) bool { return x >= need && x-need > certSlack*need
 // dense engine. The grid path spreads its cell rows over GOMAXPROCS
 // goroutines on fields of at least parallelCutoff nodes; parallelism across
 // rounds comes from sessions (see Session).
+//
+// Both paths read the field's geom.GridIndex, the one grid type of both
+// engines and the geometry queries.
 //
 // Memory is O(n + cells). A small round costs O(|T|·|L'|) for the listeners
 // L' near a transmitter; a grid round O(|T| + cells) plus the window scans
@@ -83,18 +87,14 @@ type SparseField struct {
 	n      int
 	pos    []geom.Point
 
-	// Static grid geometry over the (fixed) positions, shared with lidx.
-	cellGeom
+	// grid is the static spatial grid over the (fixed) positions: the cell
+	// geometry of both Deliver paths and the cell→nodes index the
+	// transmitter-centric pruning and the grid sweep's listener cells read.
+	grid *geom.GridIndex
 
 	// Supercell (superSide × superSide cells) grid dimensions, the coarse
 	// level of the out-of-window bound.
 	nsx, nsy int
-
-	posCell []int32 // static: grid cell of each node (aliases lidx.cellOfNode)
-
-	// lidx is the static cell→nodes index of the transmitter-centric Deliver
-	// path, built over the same grid geometry.
-	lidx *listenerIndex
 
 	// Static per-offset member gain bounds: all grid cells are congruent, so
 	// the min/max distance between two cells depends only on their offset.
@@ -217,10 +217,10 @@ const fineDim = 2*fineHalf + 1
 // fine/coarse structure, which is O(1) in grid size.
 const gridTableCap = 1 << 21
 
-// NewSparseField builds a sparse engine over the given positions. The cell
-// geometry is shared with the listener index: cell side = Range, the
-// candidate-sender query radius, grown if needed to cap the cell count near
-// 8·n so sparse deployments over huge areas stay linear in memory.
+// NewSparseField builds a sparse engine over the given positions. Its grid
+// (geom.GridIndex) has cell side Range, the candidate-sender query radius,
+// grown if needed to cap the cell count near 8·n so sparse deployments over
+// huge areas stay linear in memory.
 func NewSparseField(params Params, pos []geom.Point) (*SparseField, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -231,21 +231,20 @@ func NewSparseField(params Params, pos []geom.Point) (*SparseField, error) {
 		pos:     append([]geom.Point(nil), pos...),
 		workers: runtime.GOMAXPROCS(0),
 	}
-	f.cellGeom = newCellGeom(params.Range(), f.pos)
-	f.nsx = (f.nx + superSide - 1) / superSide
-	f.nsy = (f.ny + superSide - 1) / superSide
-	f.span = int(windowReach*params.Range()/f.cell) + 1
+	f.grid = geom.NewGridIndex(f.pos, params.Range())
+	g := f.grid
+	f.nsx = (g.NX + superSide - 1) / superSide
+	f.nsy = (g.NY + superSide - 1) / superSide
+	f.span = int(windowReach*params.Range()/g.Cell) + 1
 	// gain(d) ≥ β·noise·(1−certSlack) ⟺ d² ≤ range²·(1−certSlack)^(−2/α):
 	// the ball the quick certain-no scan must cover exactly.
 	f.rangeQ2 = params.Range() * params.Range() * math.Pow(1-certSlack, -2/params.Alpha)
 	f.nearHi, f.nearLo = f.offsetTables(fineHalf, fineHalf)
-	f.godx = 2*f.nx - 1
-	if f.godx*(2*f.ny-1) <= gridTableCap {
-		f.gridHi, f.gridLo = f.offsetTables(f.nx-1, f.ny-1)
+	f.godx = 2*g.NX - 1
+	if f.godx*(2*g.NY-1) <= gridTableCap {
+		f.gridHi, f.gridLo = f.offsetTables(g.NX-1, g.NY-1)
 	}
 	f.buildSuperTables()
-	f.lidx = newListenerIndex(f.cellGeom, f.pos)
-	f.posCell = f.lidx.cellOfNode
 	f.scr = f.newScratch()
 	return f, nil
 }
@@ -253,15 +252,16 @@ func NewSparseField(params Params, pos []geom.Point) (*SparseField, error) {
 // newScratch allocates a zeroed per-session scratch sized to the grid.
 func (f *SparseField) newScratch() *sparseScratch {
 	side := 2*f.span + 1
+	cells := f.grid.NX * f.grid.NY
 	return &sparseScratch{
-		cellStart:  make([]int32, f.nx*f.ny),
-		cellEnd:    make([]int32, f.nx*f.ny),
+		cellStart:  make([]int32, cells),
+		cellEnd:    make([]int32, cells),
 		isTx:       make([]bool, f.n),
 		superCount: make([]int32, f.nsx*f.nsy),
-		cand:       f.lidx.newCandScratch(),
-		cellTail:   make([]uint64, f.nx*f.ny),
-		cellTailLo: make([]uint64, f.nx*f.ny),
-		tailStamp:  make([]int64, f.nx*f.ny),
+		cand:       newCandScratch(f.grid),
+		cellTail:   make([]uint64, cells),
+		cellTailLo: make([]uint64, cells),
+		tailStamp:  make([]int64, cells),
 		accSender:  make([]int32, f.n),
 		accStamp:   make([]int64, f.n),
 		win:        make([]winCell, 0, side*side),
@@ -291,15 +291,15 @@ func (f *SparseField) SetStopCheck(fn func() error) { f.stop = fn }
 // between the cells (+Inf at touching offsets), lo at the maximum. Index
 // (dy+hy)·(2hx+1) + (dx+hx).
 func (f *SparseField) offsetTables(hx, hy int) (hi, lo []float64) {
-	w := 2*hx + 1
+	w, cell := 2*hx+1, f.grid.Cell
 	hi = make([]float64, w*(2*hy+1))
 	lo = make([]float64, len(hi))
 	for dy := -hy; dy <= hy; dy++ {
 		for dx := -hx; dx <= hx; dx++ {
-			gapX := float64(max(abs(dx)-1, 0)) * f.cell
-			gapY := float64(max(abs(dy)-1, 0)) * f.cell
-			maxX := float64(abs(dx)+1) * f.cell
-			maxY := float64(abs(dy)+1) * f.cell
+			gapX := float64(max(abs(dx)-1, 0)) * cell
+			gapY := float64(max(abs(dy)-1, 0)) * cell
+			maxX := float64(abs(dx)+1) * cell
+			maxY := float64(abs(dy)+1) * cell
 			i := (dy+hy)*w + dx + hx
 			hi[i] = gainAt(f.params, math.Sqrt(gapX*gapX+gapY*gapY))
 			lo[i] = gainAt(f.params, math.Sqrt(maxX*maxX+maxY*maxY))
@@ -318,18 +318,19 @@ func (f *SparseField) buildSuperTables() {
 	f.sodx, f.sody = 2*f.nsx-1, 2*f.nsy-1
 	f.superHi = make([]float64, superSide*superSide*f.sodx*f.sody)
 	f.superLo = make([]float64, len(f.superHi))
-	sw := float64(superSide) * f.cell
+	cell := f.grid.Cell
+	sw := float64(superSide) * cell
 	for suby := 0; suby < superSide; suby++ {
 		for subx := 0; subx < superSide; subx++ {
-			ax0 := float64(subx) * f.cell
-			ay0 := float64(suby) * f.cell
+			ax0 := float64(subx) * cell
+			ay0 := float64(suby) * cell
 			base := (suby*superSide + subx) * f.sodx * f.sody
 			for dsy := -(f.nsy - 1); dsy <= f.nsy-1; dsy++ {
 				row := base + (dsy+f.nsy-1)*f.sodx
 				for dsx := -(f.nsx - 1); dsx <= f.nsx-1; dsx++ {
 					qx0 := float64(dsx) * sw
 					qy0 := float64(dsy) * sw
-					dmin2, dmax2 := rectRectDist2(ax0, ay0, ax0+f.cell, ay0+f.cell, qx0, qy0, qx0+sw, qy0+sw)
+					dmin2, dmax2 := rectRectDist2(ax0, ay0, ax0+cell, ay0+cell, qx0, qy0, qx0+sw, qy0+sw)
 					i := row + dsx + f.nsx - 1
 					f.superHi[i] = gainAt(f.params, math.Sqrt(dmin2))
 					f.superLo[i] = gainAt(f.params, math.Sqrt(dmax2))
@@ -386,8 +387,9 @@ func (f *SparseField) bucketTx(txs []int) {
 	s.cellTx = s.cellTx[:len(txs)]
 	s.dirty = s.dirty[:0]
 	s.epoch++
+	cellOf := f.grid.CellOf
 	for _, v := range txs {
-		c := f.posCell[v]
+		c := cellOf[v]
 		if s.cellEnd[c] == 0 {
 			s.dirty = append(s.dirty, c)
 		}
@@ -407,7 +409,7 @@ func (f *SparseField) bucketTx(txs []int) {
 		s.superCount[sc] += cnt
 	}
 	for _, v := range txs {
-		c := f.posCell[v]
+		c := cellOf[v]
 		s.cellTx[s.cellEnd[c]] = int32(v)
 		s.cellEnd[c]++
 	}
@@ -415,7 +417,8 @@ func (f *SparseField) bucketTx(txs []int) {
 
 // superOf returns the supercell index of grid cell c.
 func (f *SparseField) superOf(c int) int {
-	return (c/f.nx/superSide)*f.nsx + (c%f.nx)/superSide
+	nx := f.grid.NX
+	return (c/nx/superSide)*f.nsx + (c%nx)/superSide
 }
 
 // resetBuckets clears the per-round CSR state touched by bucketTx.
@@ -481,9 +484,9 @@ func (f *SparseField) deliverSmall(transmitters []int, listeners []int, dst []Re
 	var cs *candScratch
 	if txCandCells*len(transmitters) < count {
 		cs = s.cand
-		total := f.lidx.mark(transmitters, cs)
+		total := cs.mark(transmitters)
 		if listeners == nil && total*enumDivisor <= count {
-			listeners = f.lidx.gather(cs)
+			listeners = cs.gather()
 			count = len(listeners)
 			cs = nil // enumerated candidates need no per-listener filter
 		}
@@ -502,7 +505,7 @@ func (f *SparseField) deliverSmall(transmitters []int, listeners []int, dst []Re
 		if s.isTx[u] {
 			continue
 		}
-		if cs != nil && f.lidx.skip(u, cs) {
+		if cs != nil && cs.skip(u) {
 			continue
 		}
 		if v, ok := f.smallCheck(u, transmitters); ok {
@@ -546,7 +549,7 @@ func (f *SparseField) decide(u int, txs []int, a *scanAcc) (int, bool) {
 	if certNo(best, beta*(noise+a.nearTotal-best)) {
 		return -1, false
 	}
-	hi, lo := f.cellTailBounds(f.posCell[u])
+	hi, lo := f.cellTailBounds(f.grid.CellOf[u])
 	if certNo(best, beta*(noise+a.nearTotal+lo-best)) {
 		return -1, false
 	}
@@ -572,8 +575,9 @@ func (f *SparseField) settle(u int, txs []int, best, total float64, bestV int, t
 
 // window returns the ±span cell box of listener cell c, clipped to the grid.
 func (f *SparseField) window(c int) (xlo, xhi, ylo, yhi int) {
-	cx, cy := c%f.nx, c/f.nx
-	return max(cx-f.span, 0), min(cx+f.span, f.nx-1), max(cy-f.span, 0), min(cy+f.span, f.ny-1)
+	nx, ny := f.grid.NX, f.grid.NY
+	cx, cy := c%nx, c/nx
+	return max(cx-f.span, 0), min(cx+f.span, nx-1), max(cy-f.span, 0), min(cy+f.span, ny-1)
 }
 
 // outTail returns the exact aggregate gain at listener u (never a
@@ -587,9 +591,10 @@ func (f *SparseField) window(c int) (xlo, xhi, ylo, yhi int) {
 func (f *SparseField) outTail(u int) float64 {
 	s := f.scr
 	p := f.pos[u]
-	wxlo, wxhi, wylo, wyhi := f.window(int(f.posCell[u]))
+	wxlo, wxhi, wylo, wyhi := f.window(int(f.grid.CellOf[u]))
+	nx := f.grid.NX
 	outside := func(c int) bool {
-		cx, cy := c%f.nx, c/f.nx
+		cx, cy := c%nx, c/nx
 		return cx < wxlo || cx > wxhi || cy < wylo || cy > wyhi
 	}
 	cells := s.dirty
@@ -656,15 +661,16 @@ const fineDirtyCutoff = 128
 // windowReach, so no supercell reaches into it).
 func (f *SparseField) computeCellTail(c int) (hi, lo float64) {
 	scr := f.scr
-	cx, cy := c%f.nx, c/f.nx
+	nx, ny := f.grid.NX, f.grid.NY
+	cx, cy := c%nx, c/nx
 	span := f.span
 	if len(scr.dirty) < fineDirtyCutoff && f.gridHi != nil {
 		// The dirty list is built deterministically per round, so redundant
 		// concurrent recomputation still stores identical bits.
-		tbase := (f.ny-1-cy)*f.godx + f.nx - 1 - cx
+		tbase := (ny-1-cy)*f.godx + nx - 1 - cx
 		for _, ci := range scr.dirty {
 			cc := int(ci)
-			gx, gy := cc%f.nx, cc/f.nx
+			gx, gy := cc%nx, cc/nx
 			if gx >= cx-span && gx <= cx+span && gy >= cy-span && gy <= cy+span {
 				continue
 			}
@@ -678,9 +684,9 @@ func (f *SparseField) computeCellTail(c int) (hi, lo float64) {
 
 	sx, sy := cx/superSide, cy/superSide
 	bx0, by0 := max((sx-1)*superSide, 0), max((sy-1)*superSide, 0)
-	bx1, by1 := min((sx+2)*superSide-1, f.nx-1), min((sy+2)*superSide-1, f.ny-1)
+	bx1, by1 := min((sx+2)*superSide-1, nx-1), min((sy+2)*superSide-1, ny-1)
 	for gy := by0; gy <= by1; gy++ {
-		base := gy * f.nx
+		base := gy * nx
 		trow := (gy - cy + fineHalf) * fineDim
 		inRow := gy >= cy-span && gy <= cy+span
 		for gx := bx0; gx <= bx1; gx++ {

@@ -18,6 +18,7 @@ declare -A floors=(
   ["dcluster/internal/sinr"]=92  # measured 95.7% when raised (one sparse grid path)
   ["dcluster/internal/sim"]=87   # measured 90.8% when raised (package-local tests only)
   ["dcluster/internal/fault"]=85 # measured 88.4% when raised
+  ["dcluster/internal/geom"]=88  # measured 93.5% when added (one grid for both engines)
 )
 
 report="$(go test -cover ./... | tee /dev/stderr)"
