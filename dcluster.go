@@ -62,6 +62,7 @@ package dcluster
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"dcluster/internal/analysis"
@@ -195,10 +196,16 @@ func (n *Network) validateIDs() error {
 // EngineSparse).
 func WithEngine(kind EngineKind) Option { return func(n *Network) { n.engine = kind } }
 
-// NewNetwork builds a network over the given node positions.
+// NewNetwork builds a network over the given node positions, which must be
+// finite.
 func NewNetwork(pts []Point, opts ...Option) (*Network, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("dcluster: empty point set")
+	}
+	for i, p := range pts {
+		if math.IsInf(p.X, 0) || math.IsNaN(p.X) || math.IsInf(p.Y, 0) || math.IsNaN(p.Y) {
+			return nil, fmt.Errorf("dcluster: point %d at (%v, %v) is not finite", i, p.X, p.Y)
+		}
 	}
 	n := &Network{
 		pts:    append([]Point(nil), pts...),

@@ -2,6 +2,7 @@ package dcluster
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -28,6 +29,22 @@ func TestNewNetworkValidation(t *testing.T) {
 	var zero Config
 	if _, err := NewNetwork([]Point{Pt(0, 0)}, WithConfig(zero)); err == nil {
 		t.Error("invalid config must error")
+	}
+}
+
+// TestNewNetworkRejectsNonFinite feeds NewNetwork a point with an infinite
+// or NaN coordinate, in x and in y: it must return an error, not panic
+// while building the engine's grid.
+func TestNewNetworkRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, p := range []Point{Pt(v, 0), Pt(0, v)} {
+			pts := append(LinePath(4, 0.7), p)
+			for _, kind := range []EngineKind{EngineDense, EngineSparse} {
+				if _, err := NewNetwork(pts, WithEngine(kind)); err == nil {
+					t.Errorf("%s engine: point (%v, %v) accepted, want an error", kind, p.X, p.Y)
+				}
+			}
+		}
 	}
 }
 

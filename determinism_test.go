@@ -25,8 +25,9 @@ import (
 // proximity/mis/core/sparsify/broadcast shows up here as a cross-process
 // diff.
 //
-// The children also run under different GOMAXPROCS (1 and 4), and every Run
-// forces the parallel resolution of schedule passes (WithForceParallel): the
+// The children also run under different GOMAXPROCS (1 and 4). Clustering on
+// a 256-node disk, on either engine, runs schedule passes large enough to
+// be resolved and to have their misses spread over helper sessions: the
 // GOMAXPROCS=1 child computes every miss on the caller's session, the other
 // spreads them over four, and the dumps must still agree byte for byte.
 
@@ -64,7 +65,11 @@ func determinismCases() []determinismCase {
 	clumps := dcluster.GaussianClusters(30, 3, 2.5, 0.25, 5)
 	grid := dcluster.GridLattice(6, 0.8, 0.05, 9)
 
-	var cases []determinismCase
+	cases := []determinismCase{{
+		name: "disk256/clustering",
+		pts:  dcluster.UniformDisk(256, 3.2, 7),
+		task: clustering,
+	}}
 	for _, topo := range []struct {
 		name string
 		pts  []dcluster.Point
@@ -106,7 +111,7 @@ func determinismDump() (string, error) {
 			if err != nil {
 				return "", fmt.Errorf("%s/%s: %v", tc.name, eng.name, err)
 			}
-			res, err := net.Run(context.Background(), tc.task(net.Len()), dcluster.WithForceParallel())
+			res, err := net.Run(context.Background(), tc.task(net.Len()))
 			if err != nil {
 				return "", fmt.Errorf("%s/%s: %v", tc.name, eng.name, err)
 			}

@@ -124,10 +124,11 @@ func (parity) Len() int { return 3 }
 func (parity) ContainsPair(round, id, _ int) bool { return round == 0 || id%2 == round%2 }
 
 // countEngine counts physical-layer Deliver calls. Its sessions share the
-// counter, so the helper sessions of a parallel pass count too.
+// counters, so the helper sessions of a parallel pass count too; sessions
+// counts the sessions made.
 type countEngine struct {
 	sinr.Engine
-	calls *atomic.Int64
+	calls, sessions *atomic.Int64
 }
 
 func (c *countEngine) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr.Reception {
@@ -136,13 +137,15 @@ func (c *countEngine) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr
 }
 
 func (c *countEngine) Session() sinr.Engine {
-	return &countEngine{Engine: c.Engine.Session(), calls: c.calls}
+	c.sessions.Add(1)
+	return &countEngine{Engine: c.Engine.Session(), calls: c.calls, sessions: c.sessions}
 }
 
 // TestRepeatedPassServedFromMemo pins that a repeated pass never reaches the
 // engine, however many transmitters its rounds hold, and that a different
 // pass reaches it only for the rounds no earlier pass has run — with each
-// pass run round by round, and resolved on two sessions.
+// pass run on one worker, and on two, where the first pass is large enough
+// to be resolved on two sessions.
 func TestRepeatedPassServedFromMemo(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		t.Run(map[bool]string{false: "serial", true: "parallel"}[parallel], func(t *testing.T) {
@@ -152,17 +155,18 @@ func TestRepeatedPassServedFromMemo(t *testing.T) {
 }
 
 func testRepeatedPassServedFromMemo(t *testing.T, parallel bool) {
-	const n = 80 // round 0 of a full pass has 80 transmitters
+	const n = 320 // round 0 of a full pass has 320 transmitters
 	f, err := sinr.NewField(sinr.DefaultParams(), geom.LinePath(n, 0.7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce := &countEngine{Engine: f, calls: new(atomic.Int64)}
+	ce := &countEngine{Engine: f, calls: new(atomic.Int64), sessions: new(atomic.Int64)}
+	procs := 1
 	if parallel {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // read by MustEnv
+		procs = 2
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs)) // read by MustEnv
 	env := sim.MustEnv(ce, nil, 0)
-	env.SetControl(sim.Control{ForceParallel: parallel})
 	es := NewEventScheduler(parity{})
 	msg := func(v int) sim.Msg { return sim.Msg{Kind: sim.KindSNS, From: int32(env.IDs[v])} }
 	pass := func(senders []int) []sim.Delivery {
@@ -184,6 +188,11 @@ func testRepeatedPassServedFromMemo(t *testing.T, parallel bool) {
 	first := pass(all)
 	if calls := ce.calls.Load(); calls != 3 {
 		t.Fatalf("first pass made %d Deliver calls, want 3", calls)
+	}
+	if helpers := ce.sessions.Load(); parallel && helpers == 0 {
+		t.Error("no helper session was made; the first pass never resolved in parallel")
+	} else if !parallel && helpers != 0 {
+		t.Errorf("%d helper sessions made on one worker", helpers)
 	}
 	if second := pass(all); !reflect.DeepEqual(second, first) || ce.calls.Load() != 3 {
 		t.Errorf("repeated pass: %d new Deliver calls (want 0), identical deliveries %v",

@@ -75,7 +75,7 @@ func (el *EventLists) Selector() selectors.PairSelector { return el.sel }
 // which is re-interned only when the listener slice's content changes. A
 // repeated pass — or any round repeated from an earlier pass, also by an
 // addressed pass over a subsequence of its listeners — is served from the
-// memo without touching the physical layer, and a costly pass's misses are
+// memo without touching the physical layer, and a large pass's misses are
 // computed together on several engine sessions.
 //
 // Within a round, transmitters appear in caller order — which downstream

@@ -21,9 +21,11 @@ import (
 // under a fault decorator with drops, and with a budget so small that the
 // memo keeps emptying, with passes run round by round and resolved on two
 // sessions. Addressed rounds with no enclosing entry are computed at the
-// addressees alone and then served from their own entry.
+// addressees alone and then served from their own entry. The field and the
+// transmitter sets are large enough that every pass, at the smallest
+// addressee set too, is resolved.
 func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
-	pts := geom.UniformDisk(64, 2.8, 5)
+	pts := geom.UniformDisk(512, 7.9, 5)
 	n := len(pts)
 	// Two addressee sets, subsequences of within, taking turns by pass (as
 	// the addressees of consecutive confirmation passes do).
@@ -44,14 +46,18 @@ func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var sets [][]int
 	distinct := map[string]bool{}
-	for len(sets) < 12 {
-		txs := rng.Perm(n)[:1+rng.Intn(6)]
+	for len(sets) < 128 {
+		txs := rng.Perm(n)[:1+rng.Intn(31)]
 		if key := fmt.Sprint(txs); !distinct[key] {
 			distinct[key] = true
 			sets = append(sets, txs)
 		}
 	}
-	enclosed, alone := sets[:6], sets[6:]
+	enclosed, alone := sets[:64], sets[64:]
+	f, err := sinr.NewField(sinr.DefaultParams(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name     string
@@ -67,14 +73,10 @@ func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
 		{"tiny budget/parallel", "seed=3;drop=0.05", 24, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			newEnv := func(parallel bool) (*sim.Env, *innerCount) {
-				f, err := sinr.NewField(sinr.DefaultParams(), pts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inner := newInnerCount(f)
+			newEnv := func() (*sim.Env, *innerCount) {
+				inner := newInnerCount(f.Session())
 				var e *sim.Env
-				ctl := sim.Control{ForceParallel: parallel}
+				var ctl sim.Control
 				if tc.spec == "" {
 					e = sim.MustEnv(inner, nil, 0)
 				} else {
@@ -89,11 +91,11 @@ func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
 				sim.SetProcs(e, 2)
 				return e, inner
 			}
-			memo, inner := newEnv(tc.parallel)
+			memo, inner := newEnv()
 			if tc.budget > 0 {
 				sim.SetMemoBudget(memo, tc.budget)
 			}
-			plain, _ := newEnv(false)
+			plain, _ := newEnv()
 			wid := memo.InternListeners(within)
 			lids := []uint32{memo.InternListeners(addressees[0]), memo.InternListeners(addressees[1])}
 			var listeners []int
@@ -157,6 +159,9 @@ func TestAddressedRoundsServedFromEnclosingEntry(t *testing.T) {
 				t.Errorf("inner engine ran %d rounds, want %d", calls, live)
 			case tc.budget > 0 && calls <= live:
 				t.Errorf("inner engine ran %d rounds, want the tiny budget to force recaptures", calls)
+			}
+			if tc.parallel && inner.sessions.Load() == 0 {
+				t.Error("no helper session was made; the passes never resolved in parallel")
 			}
 
 			if tc.budget > 0 {

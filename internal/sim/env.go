@@ -65,11 +65,6 @@ type Control struct {
 	// the round single-stepping would) — so it must be sized well above the
 	// protocol's longest natural progress-free stretch.
 	StallWindow int64
-	// ForceParallel computes every pass's misses on all GOMAXPROCS
-	// sessions whenever there are two or more, whatever their measured
-	// cost (see StepPass): a test knob that makes small instances exercise
-	// the parallel resolution.
-	ForceParallel bool
 	// ImpureReception is ignored. Faulted executions share the reception
 	// memo: it holds the fault-free outcome of each (transmitters,
 	// listeners) round, and the fault layer applies per round on top of it

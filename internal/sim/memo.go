@@ -20,8 +20,9 @@ import (
 // subsequence of an enclosing set, like a confirmation pass's addressees
 // within the active set — is served from the enclosing set's entry when
 // there is one, keeping the receptions at its listeners. The misses of a
-// costly pass are resolved together and computed on several engine
-// sessions at once; their captures follow the pass's last round.
+// large pass are resolved together, a window at a time, and computed on
+// several engine sessions at once; their captures follow the window's last
+// round.
 //
 // Faulted executions share the memo. Every injected fault only removes
 // receptions from the fault-free outcome (see fault.Engine), so the memo

@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"reflect"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -13,15 +12,15 @@ import (
 )
 
 // innerCount counts the Deliver calls that reach the engine under the fault
-// decorator. Its sessions share the counter, so the helper sessions of a
-// parallel pass count too.
+// decorator. Its sessions share the counters, so the helper sessions of a
+// parallel pass count too; sessions counts the sessions made.
 type innerCount struct {
 	sinr.Engine
-	calls *atomic.Int64
+	calls, sessions *atomic.Int64
 }
 
 func newInnerCount(f sinr.Engine) *innerCount {
-	return &innerCount{Engine: f, calls: new(atomic.Int64)}
+	return &innerCount{Engine: f, calls: new(atomic.Int64), sessions: new(atomic.Int64)}
 }
 
 func (c *innerCount) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr.Reception {
@@ -30,7 +29,8 @@ func (c *innerCount) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr.
 }
 
 func (c *innerCount) Session() sinr.Engine {
-	return &innerCount{Engine: c.Engine.Session(), calls: c.calls}
+	c.sessions.Add(1)
+	return &innerCount{Engine: c.Engine.Session(), calls: c.calls, sessions: c.sessions}
 }
 
 func hello(int) sim.Msg { return sim.Msg{Kind: sim.KindHello} }
@@ -43,8 +43,21 @@ func hello(int) sim.Msg { return sim.Msg{Kind: sim.KindHello} }
 // round delivers exactly what plain Step through the decorator delivers —
 // also when a receiver or a transmitter is down in one repetition and up in
 // the next, and when a tiny budget keeps emptying the memo.
+//
+// The rounds play out on a line of eight nodes. Far off lies a block of 504
+// nodes whose every other node transmits in every round: it leaves the
+// line's receptions alone, but gives each pass enough work to be resolved
+// and its misses enough to be computed on two sessions.
 func TestFaultedRoundsShareMemo(t *testing.T) {
 	pts := geom.LinePath(8, 0.5)
+	const line = 8
+	var far []int
+	for i := range 504 {
+		if i%2 == 0 {
+			far = append(far, len(pts))
+		}
+		pts = append(pts, geom.Pt(1000+0.7*float64(i), 0))
+	}
 	// Node 1 (a receiver of node 0) sleeps in round 3, node 6 (a
 	// transmitter) in round 4.
 	spec, err := fault.Parse("seed=7;drop=0.4;sleep=1@3-4;sleep=6@4-5")
@@ -54,20 +67,20 @@ func TestFaultedRoundsShareMemo(t *testing.T) {
 	if err := spec.Validate(len(pts), true); err != nil {
 		t.Fatal(err)
 	}
-	newEnv := func(parallel bool) (*sim.Env, *innerCount) {
-		f, err := sinr.NewField(sinr.DefaultParams(), pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner := newInnerCount(f)
+	f, err := sinr.NewField(sinr.DefaultParams(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newEnv := func() (*sim.Env, *innerCount) {
+		inner := newInnerCount(f.Session())
 		e := sim.MustEnv(fault.Wrap(inner, &spec), nil, 0)
-		e.SetControl(sim.Control{NodeFaults: &spec, ForceParallel: parallel})
+		e.SetControl(sim.Control{NodeFaults: &spec})
 		sim.SetProcs(e, 2)
 		return e, inner
 	}
 	var seq [][]int
 	for r := 0; r < 6; r++ {
-		seq = append(seq, []int{0}, []int{2, 6})
+		seq = append(seq, append([]int{0}, far...), append([]int{2, 6}, far...))
 	}
 
 	for _, tc := range []struct {
@@ -84,20 +97,26 @@ func TestFaultedRoundsShareMemo(t *testing.T) {
 		{"tiny budget/parallel", 3, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			memo, inner := newEnv(tc.parallel)
+			memo, inner := newEnv()
 			if tc.budget > 0 {
 				sim.SetMemoBudget(memo, tc.budget)
 			}
-			plain, _ := newEnv(false)
-			var solo [][]sim.Delivery // node 0's rounds
+			plain, _ := newEnv()
+			var solo [][]sim.Delivery // node 0's rounds, at the line
 			check := func(i int, got []sim.Delivery) {
 				txs := seq[i]
 				want := plain.Step(txs, hello, nil)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d, txs %v: memo delivered %v, Step %v", i+1, txs, got, want)
 				}
-				if len(txs) == 1 {
-					solo = append(solo, slices.Clone(got))
+				if txs[0] == 0 {
+					var atLine []sim.Delivery
+					for _, d := range got {
+						if d.Receiver < line {
+							atLine = append(atLine, d)
+						}
+					}
+					solo = append(solo, atLine)
 				}
 			}
 			if tc.parallel {
@@ -119,6 +138,9 @@ func TestFaultedRoundsShareMemo(t *testing.T) {
 			}
 			if calls := inner.calls.Load(); tc.budget > 0 && calls <= 3 {
 				t.Errorf("inner engine ran %d rounds, want the tiny budget to force recaptures", calls)
+			}
+			if tc.parallel && inner.sessions.Load() == 0 {
+				t.Error("no helper session was made; the passes never resolved in parallel")
 			}
 			varied := false
 			for _, ds := range solo[1:] {

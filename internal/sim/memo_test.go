@@ -85,24 +85,20 @@ func TestMemoEmptiedWhenFull(t *testing.T) {
 }
 
 // TestMemoEmptiedMidPass resolves passes with more distinct misses than
-// one window holds, repeats among them, on two sessions, under a memo
-// budget so small that the captures of every pass empty the memo between
-// its windows. Every round must deliver exactly what plain Step delivers,
-// repeated rounds must be merged rather than recomputed, and the memo's
+// one window holds, repeats among them, under a memo budget so small that
+// the captures of every pass empty the memo between its windows. The
+// passes are large enough to be resolved and their first window large
+// enough to fan out, so with two workers it is computed on helper sessions
+// too. Every round must deliver exactly what plain Step delivers, repeated
+// rounds must be merged rather than recomputed, each pass must reach the
+// engine the same number of times on one worker and on two, and the memo's
 // probe table must stay consistent.
 func TestMemoEmptiedMidPass(t *testing.T) {
-	pts := geom.UniformDisk(48, 2.5, 4)
+	pts := geom.UniformDisk(256, 5.8, 4)
 	f, err := sinr.NewField(sinr.DefaultParams(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce := newCountEngine(f)
-	memo := MustEnv(ce, nil, 0)
-	SetProcs(memo, 2)
-	memo.SetControl(Control{ForceParallel: true})
-	memo.memo.budget = 64
-	plain := MustEnv(f.Session(), nil, 0)
-
 	rng := rand.New(rand.NewSource(3))
 	distinct := map[string]bool{}
 	var pool [][]int
@@ -117,41 +113,57 @@ func TestMemoEmptiedMidPass(t *testing.T) {
 	for range 200 {
 		rounds = append(rounds, pool[rng.Intn(len(pool))])
 	}
-	for pass := range 3 {
-		empties, calls := memo.memo.empties, ce.calls.Load()
-		seen := 0
-		memo.StepPass(RoundsPass(rounds, nil, 0, 0), helloOf, func(r int, ds []Delivery) {
-			if want := plain.Step(rounds[r], helloOf, nil); !reflect.DeepEqual(ds, want) {
-				t.Fatalf("pass %d, round %d, txs %v: pass delivered %v, Step %v", pass, r, rounds[r], ds, want)
+	// Deliver calls of each pass: between its 300 distinct rounds and its
+	// 500 rounds, as a window merges its repeats but recomputes what an
+	// emptying took from the memo.
+	want := []int64{431, 430, 430}
+
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			ce := newCountEngine(f)
+			memo := MustEnv(ce, nil, 0)
+			SetProcs(memo, procs)
+			memo.memo.budget = 64
+			plain := MustEnv(f.Session(), nil, 0)
+			for pass := range 3 {
+				empties, calls := memo.memo.empties, ce.calls.Load()
+				seen := 0
+				memo.StepPass(RoundsPass(rounds, nil, 0, 0), helloOf, func(r int, ds []Delivery) {
+					if want := plain.Step(rounds[r], helloOf, nil); !reflect.DeepEqual(ds, want) {
+						t.Fatalf("pass %d, round %d, txs %v: pass delivered %v, Step %v", pass, r, rounds[r], ds, want)
+					}
+					seen++
+				})
+				if seen != len(rounds) {
+					t.Fatalf("pass %d: sink saw %d rounds, want %d", pass, seen, len(rounds))
+				}
+				if memo.memo.empties == empties {
+					t.Errorf("pass %d never emptied the memo; the budget exercises nothing", pass)
+				}
+				// Repeats within a window are merged; a window after an
+				// emptying recomputes what the memo lost.
+				if got := ce.calls.Load() - calls; got != want[pass] {
+					t.Errorf("pass %d reached the engine %d times, want %d", pass, got, want[pass])
+				}
+				used := 0
+				for _, s := range memo.memo.slots {
+					if s != 0 {
+						used++
+					}
+				}
+				if used != len(memo.memo.rounds) {
+					t.Fatalf("probe table holds %d slots for %d memoized rounds", used, len(memo.memo.rounds))
+				}
 			}
-			seen++
+			if helpers := ce.sessions.Load(); procs > 1 && helpers == 0 {
+				t.Error("no helper session was made; the passes never resolved in parallel")
+			} else if procs == 1 && helpers != 0 {
+				t.Errorf("%d helper sessions made on one worker", helpers)
+			}
+			if memo.Stats() != plain.Stats() {
+				t.Errorf("pass stats %+v, Step stats %+v", memo.Stats(), plain.Stats())
+			}
 		})
-		if seen != len(rounds) {
-			t.Fatalf("pass %d: sink saw %d rounds, want %d", pass, seen, len(rounds))
-		}
-		if memo.memo.empties == empties {
-			t.Errorf("pass %d never emptied the memo; the budget exercises nothing", pass)
-		}
-		// Repeats within a window are merged; a window after an emptying
-		// recomputes what the memo lost.
-		if got := ce.calls.Load() - calls; got < int64(len(pool)) || got >= int64(len(rounds)) {
-			t.Errorf("pass %d reached the engine %d times, want from %d (its distinct rounds) to below %d (its rounds)", pass, got, len(pool), len(rounds))
-		}
-		used := 0
-		for _, s := range memo.memo.slots {
-			if s != 0 {
-				used++
-			}
-		}
-		if used != len(memo.memo.rounds) {
-			t.Fatalf("probe table holds %d slots for %d memoized rounds", used, len(memo.memo.rounds))
-		}
-	}
-	if ce.sessions.Load() == 0 {
-		t.Error("no helper session was made; the passes never resolved in parallel")
-	}
-	if memo.Stats() != plain.Stats() {
-		t.Errorf("pass stats %+v, Step stats %+v", memo.Stats(), plain.Stats())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dcluster/internal/sinr"
 )
@@ -36,12 +35,23 @@ const (
 	resolveTxs  = 1 << 14
 )
 
-// forkJoinCost is the engine work a pass's misses must add up to, estimated
-// from the measured time of its first miss, before the rest of the pass is
-// resolved and its misses are computed on several sessions at once: below
-// it, probing ahead and waking and joining the helpers cost more than they
-// save.
-const forkJoinCost = 2 * time.Millisecond
+// resolveWork is the engine work, counted in (transmitter, listener)
+// pairs, from which a pass is resolved and from which a resolved window's
+// misses are spread over helper sessions. Every listener sums the signal
+// of every transmitter, so a Deliver costs about one SINR term per pair:
+// ~3 ns on the dense engine (a round of 128 transmitters over 1024
+// listeners, 2¹⁷ pairs, takes 0.4 ms on a 2-vCPU x86 host), and no more
+// than about twice that on the sparse one, which prunes far pairs. A
+// pass's transmitter events times its listeners bound what its misses can
+// cost, and a window's distinct missing transmitters times its listeners
+// are what they do cost. Both are counted before any round runs, so the
+// choices follow from the input, never from the host's speed or load.
+//
+// Calibrated on that host: with fan-out at 2¹⁶ or at 2¹⁷ pairs,
+// BenchmarkClustering and BenchmarkTable1/ours at n=48 and n=256 measured
+// the same, so one constant serves both choices; resolving every pass made
+// the n=48 rows 15–22% slower, so small passes keep the lookup loop.
+const resolveWork = 1 << 17
 
 // Kinds of a resolved round's reception source.
 const (
@@ -79,8 +89,7 @@ type passJob struct {
 type PassKit struct {
 	helpers []sinr.Engine
 
-	miss      time.Duration // the measured time of the pass's first miss
-	base, end int           // the resolved window: rounds base..end-1
+	base, end int // the resolved window: rounds base..end-1
 	rounds    []passRound
 	txs       []int
 	jobs      []passJob
@@ -106,17 +115,19 @@ type PassKit struct {
 // fast-forwarded through NextActive, and serves every reception through the
 // memo.
 //
-// Rounds are looked up one at a time. The pass's first memo miss is
-// computed on the caller's session and timed. The schedule is oblivious, so
-// the rest of the pass is known at that point; when the miss's time, times
-// the rounds left, reaches forkJoinCost, the rest is resolved: every
-// remaining round is probed once for its surviving transmitters and its
-// memo entry, identical missing rounds are merged, and the distinct misses
-// are computed together, across GOMAXPROCS workers with one session each
-// when they add up to forkJoinCost. The remaining rounds then run from
-// their entries or computed receptions. Computed rounds are captured into
-// the memo only after the pass's last round, so a capture that empties the
-// memo never takes storage a later round of the pass reads.
+// The schedule is oblivious, so the whole pass is known before it starts.
+// When its transmitter events times its listeners reach resolveWork, it is
+// resolved window by window: every round of the window is probed once for
+// its surviving transmitters and its memo entry, identical missing rounds
+// are merged, and the distinct misses are computed together, across
+// GOMAXPROCS workers with one session each when their own work reaches
+// resolveWork (see computeJobs). The window's rounds then run from their
+// entries or computed receptions. Computed rounds are captured into the
+// memo only after the window's last round, so a capture that empties the
+// memo never takes storage a later round of the window reads. A smaller
+// pass runs its rounds one at a time, looking each up and computing a miss
+// on the caller's session. Either way the choice, and so every Deliver
+// call, depends only on the pass and the memo, not on GOMAXPROCS.
 //
 // An addressed round (Within ≠ Lid) is first served from the enclosing
 // set's entry under the same transmitters, keeping the receptions at the
@@ -129,75 +140,61 @@ func (e *Env) StepPass(p *Pass, msgOf func(node int) Msg, sink func(round int, d
 	if e.memo.hashes == nil {
 		e.memo.growRounds()
 	}
-	mode := passTimeMiss
-	for k, i := range p.Active {
-		e.NextActive(start + int64(i) + 1)
-		var ds []Delivery
-		if mode == passResolved {
-			if k == e.kit.end {
+	if len(p.Events)*e.listenerCount(p.Listeners) < resolveWork {
+		for k, i := range p.Active {
+			e.NextActive(start + int64(i) + 1)
+			sink(int(i), e.stepLookup(p, k, start, msgOf))
+		}
+	} else {
+		ps := e.passKit()
+		ps.jobs, ps.end = ps.jobs[:0], 0 // no window yet, nothing to capture
+		for k, i := range p.Active {
+			e.NextActive(start + int64(i) + 1)
+			if k == ps.end {
 				e.captureJobs(p.Lid)
 				e.resolve(p, k, start)
 			}
-			ds = e.emitResolved(p, k, start, msgOf)
-		} else {
-			ds, mode = e.stepLookup(p, k, start, mode, msgOf)
+			sink(int(i), e.emitResolved(p, k, start, msgOf))
 		}
-		sink(int(i), ds)
-	}
-	if mode == passResolved {
 		e.captureJobs(p.Lid)
 	}
 	e.NextActive(start + int64(p.Len) + 1)
 }
 
-// How StepPass runs a pass's next round.
-const (
-	passTimeMiss = iota // look it up; time a miss and decide on resolving
-	passLookup          // look it up; the pass is not worth resolving
-	passResolved        // the rest of the pass is resolved
-)
+// listenerCount is the number of listeners of a round over listeners: all
+// n nodes when listeners is nil.
+func (e *Env) listenerCount(listeners []int) int {
+	if listeners == nil {
+		return len(e.IDs)
+	}
+	return len(listeners)
+}
 
-// stepLookup runs round k of a pass not yet resolved: from its memo entry
-// on a hit, and otherwise computed on the caller's session and captured.
-// In mode passTimeMiss a miss is timed and may resolve the rest of the
-// pass. It returns the mode for the next round.
-func (e *Env) stepLookup(p *Pass, k int, start int64, mode int, msgOf func(node int) Msg) ([]Delivery, int) {
+// stepLookup runs round k of an unresolved pass: from its memo entry on a
+// hit, and otherwise computed on the caller's session and captured.
+func (e *Env) stepLookup(p *Pass, k int, start int64, msgOf func(node int) Msg) []Delivery {
 	e.openRound()
 	txs := e.passTxs(p, k, start)
 	if !e.accountTx(txs) {
-		return nil, mode
+		return nil
 	}
 	m := &e.memo
 	if p.Within != p.Lid {
 		if s := m.slots[m.roundSlot(roundKey(p.Within, txs), p.Within, txs)]; s != 0 {
 			e.markListeners(p.Listeners, p.Lid)
 			e.recBuf = m.recall(s, e.inSet, p.Lid, e.recBuf[:0])
-			return e.deliver(txs, e.recBuf, msgOf), mode
+			return e.deliver(txs, e.recBuf, msgOf)
 		}
 	}
 	key := roundKey(p.Lid, txs)
 	slot := m.roundSlot(key, p.Lid, txs)
 	if s := m.slots[slot]; s != 0 {
 		e.recBuf = m.recall(s, nil, 0, e.recBuf[:0])
-		return e.deliver(txs, e.recBuf, msgOf), mode
+		return e.deliver(txs, e.recBuf, msgOf)
 	}
-	if mode == passLookup || e.procs < 2 {
-		e.recBuf = e.phys.Deliver(txs, p.Listeners, e.recBuf[:0])
-		putPairs(m.capture(slot, key, p.Lid, txs, len(e.recBuf)), e.recBuf)
-		return e.deliver(txs, e.recBuf, msgOf), passLookup
-	}
-	t0 := time.Now()
 	e.recBuf = e.phys.Deliver(txs, p.Listeners, e.recBuf[:0])
-	miss := time.Since(t0)
 	putPairs(m.capture(slot, key, p.Lid, txs, len(e.recBuf)), e.recBuf)
-	ds := e.deliver(txs, e.recBuf, msgOf)
-	rest := len(p.Active) - 1 - k
-	if rest == 0 || !e.ctl.ForceParallel && time.Duration(rest)*miss < forkJoinCost {
-		return ds, passLookup
-	}
-	e.passKit().miss = miss
-	e.resolve(p, k+1, start)
-	return ds, passResolved
+	return e.deliver(txs, e.recBuf, msgOf)
 }
 
 // resolve probes rounds k.. of the pass for their surviving transmitters
@@ -298,11 +295,10 @@ func (ps *PassKit) addJob(key uint64, txs []int) int32 {
 }
 
 // computeJobs computes the resolved window's jobs: on the caller's session,
-// or, when the measured time of the pass's first miss times their number
-// reaches forkJoinCost (or Control.ForceParallel is set), pulled from an
-// atomic cursor by up to GOMAXPROCS workers, one session each. A panic on
-// any worker, a mid-round abort included, is re-raised on the caller once
-// every worker has returned.
+// or, when their transmitters times the listeners reach resolveWork,
+// pulled from an atomic cursor by up to GOMAXPROCS workers, one session
+// each. A panic on any worker, a mid-round abort included, is re-raised on
+// the caller once every worker has returned.
 func (e *Env) computeJobs(listeners []int) {
 	ps := e.kit
 	if len(ps.panics) < e.procs {
@@ -310,9 +306,9 @@ func (e *Env) computeJobs(listeners []int) {
 		ps.recs = make([][]sinr.Reception, e.procs)
 		ps.panics = make([]any, e.procs)
 	}
-	workers := min(e.procs, len(ps.jobs))
-	if workers < 2 || !e.ctl.ForceParallel && time.Duration(len(ps.jobs))*ps.miss < forkJoinCost {
-		workers = 1
+	workers := 1
+	if len(ps.txs)*e.listenerCount(listeners) >= resolveWork {
+		workers = min(e.procs, len(ps.jobs))
 	}
 	for len(ps.helpers) < workers-1 {
 		s := e.phys.Session()

@@ -54,8 +54,9 @@ type Engine interface {
 	// concurrently with each other; a single session is confined to one
 	// goroutine at a time, like the engine itself. A session's Session is
 	// another session of the same engine. Concurrent runs each Deliver on
-	// their own session, and one run computes a schedule pass's missing
-	// rounds on several sessions at once (see sim.Env.StepPass).
+	// their own session, and one run computes the missing rounds of a large
+	// schedule pass on several sessions at once: the pass's size, not the
+	// host, decides when (see sim.Env.StepPass).
 	Session() Engine
 	// CommGraph returns adjacency lists of the communication graph: edges
 	// between nodes at distance ≤ (1−ε)·range.

@@ -106,7 +106,6 @@ type runConfig struct {
 	noFastForward bool
 	faults        *fault.Spec
 	stallWindow   int64
-	forceParallel bool  // test knob: see sim.Control.ForceParallel
 	err           error // first invalid option; Run fails fast on it
 }
 
@@ -417,7 +416,6 @@ func (n *Network) Run(ctx context.Context, task Task, opts ...RunOption) (*Resul
 		DisableFastForward: rc.noFastForward,
 		NodeFaults:         nodeFaults,
 		StallWindow:        rc.stallWindow,
-		ForceParallel:      rc.forceParallel,
 	})
 
 	res := &Result{Algorithm: task.Name()}
