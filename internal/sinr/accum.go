@@ -17,10 +17,13 @@ import (
 // epoch-stamped listener-indexed array that a final in-order sweep emits
 // from. A listener has one exact region, every transmitter of its window,
 // and one bounded region, every cell outside it (α > 2 makes that
-// interference converge, so a count-weighted bound on it is sound). Every
-// decision is certified under the certSlack margin or falls back to the
-// dense-order exactCheck, so receptions are byte-identical to the dense
-// engine's.
+// interference converge, so a count-weighted bound on it is sound): the
+// per-cell (hi, lo) pair of computeCellTail, a walk over the Chebyshev rings
+// of cells around the window that reads each ring's transmitter count from
+// the round's summed-area table and weights it by the ring's closest and
+// farthest gain. Every decision is certified under the certSlack margin or
+// falls back to the dense-order exactCheck, so receptions are byte-identical
+// to the dense engine's.
 
 // winCell is one nonempty bucket cell of a listener-cell window: its
 // transmitter range in the round's CSR bucket array.
@@ -155,6 +158,7 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 	grid := f.grid
 	nx, ny := grid.NX, grid.NY
 	cell2 := grid.Cell * grid.Cell
+	span, side := f.span, 2*f.span+1
 	beta, noise := f.params.Beta, f.params.Noise
 	bn := beta * noise
 	epoch := s.epoch
@@ -238,7 +242,7 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 					outw = outw[:0]
 					for wy := wylo; wy <= wyhi; wy++ {
 						base := wy * nx
-						trow := (wy-cy+fineHalf)*fineDim - cx + fineHalf
+						trow := (wy-cy+span)*side - cx + span
 						inRow := wy >= iylo && wy <= iyhi
 						for wx := wxlo; wx <= wxhi; wx++ {
 							if inRow && wx >= ixlo && wx <= ixhi {

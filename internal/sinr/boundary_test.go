@@ -141,8 +141,11 @@ func TestBoundaryFarRadiusFloorEquality(t *testing.T) {
 // computeCellTail(c), up to a 1e-12 relative tolerance for summation
 // order. Fields with cell sides of 1, 2 and 4 ranges (window spans 3, 2
 // and 1) are covered, a disk that packs several transmitters into a cell
-// and a square that spreads them, each in rounds on both sides of
-// fineDirtyCutoff (the grid-wide table walk and the fine/coarse levels).
+// and a square that spreads them. Besides random rounds of two sizes, each
+// field runs two built ones: a round confined to one listener cell's window,
+// whose pair must be exactly (0, 0), and a round whose only transmitter
+// outside the low corner cell's window is the far corner pin, which the
+// ring walk reaches only at its last ring.
 func TestCellTailBoundsSound(t *testing.T) {
 	const n, tol = 1500, 1e-12
 	params := DefaultParams()
@@ -153,48 +156,85 @@ func TestCellTailBoundsSound(t *testing.T) {
 			"disk":   geom.UniformDisk(n, math.Sqrt(n/8), int64(k)),
 			"square": geom.UniformSquare(n, side, int64(k)),
 		}
-		strategies := map[bool]int{}
 		for name, base := range deployments {
-			f, err := NewSparseField(params, withCornerPins(base, params.Range(), k))
+			pts := withCornerPins(base, params.Range(), k)
+			f, err := NewSparseField(params, pts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.grid.Cell != k*params.Range() {
-				t.Fatalf("k=%v %s: cell %v, want %v", k, name, f.grid.Cell, k*params.Range())
+			g := f.grid
+			if g.Cell != k*params.Range() {
+				t.Fatalf("k=%v %s: cell %v, want %v", k, name, g.Cell, k*params.Range())
 			}
 			bounded := 0
-			for _, ntx := range []int{60, n / 3} {
-				for trial := 0; trial < 3; trial++ {
-					f.bucketTx(pickDistinct(rng, n, ntx))
-					strategies[len(f.scr.dirty) < fineDirtyCutoff]++
-					for c := 0; c < f.grid.NX*f.grid.NY; c++ {
-						members := f.grid.Nodes[f.grid.Start[c]:f.grid.Start[c+1]]
-						if len(members) == 0 {
-							continue
+			// round buckets txs, checks every listener cell's pair against
+			// outTail and returns the pair of cell probe.
+			round := func(txs []int, probe int) (probeHi, probeLo float64) {
+				f.bucketTx(txs)
+				defer f.resetBuckets()
+				for c := 0; c < g.NX*g.NY; c++ {
+					members := g.Nodes[g.Start[c]:g.Start[c+1]]
+					if len(members) == 0 {
+						continue
+					}
+					hi, lo := f.computeCellTail(c)
+					if c == probe {
+						probeHi, probeLo = hi, lo
+					}
+					for _, u := range members {
+						exact := f.outTail(int(u))
+						if lo > exact*(1+tol) || exact > hi*(1+tol) {
+							t.Fatalf("k=%v %s |T|=%d cell %d listener %d: lo %v, exact %v, hi %v",
+								k, name, len(txs), c, u, lo, exact, hi)
 						}
-						hi, lo := f.computeCellTail(c)
-						for _, u := range members {
-							exact := f.outTail(int(u))
-							if lo > exact*(1+tol) || exact > hi*(1+tol) {
-								t.Fatalf("k=%v %s |T|=%d cell %d listener %d: lo %v, exact %v, hi %v",
-									k, name, ntx, c, u, lo, exact, hi)
-							}
-							if lo > 0 {
-								bounded++
-							}
+						if lo > 0 {
+							bounded++
 						}
 					}
-					f.resetBuckets()
+				}
+				return probeHi, probeLo
+			}
+			for _, ntx := range []int{60, n / 3} {
+				for trial := 0; trial < 3; trial++ {
+					round(pickDistinct(rng, n, ntx), -1)
 				}
 			}
 			if bounded == 0 {
 				t.Errorf("k=%v %s: no listener had a positive lower bound; the check is vacuous", k, name)
 			}
-		}
-		if strategies[true] == 0 || strategies[false] == 0 {
-			t.Errorf("k=%v: rounds below/at fineDirtyCutoff dirty cells: %d/%d, want both", k, strategies[true], strategies[false])
+
+			c := int(g.CellOf[0])
+			if hi, lo := round(windowNodes(f, c), c); hi != 0 || lo != 0 {
+				t.Errorf("k=%v %s: round inside cell %d's window: pair (%v, %v), want (0, 0)", k, name, c, hi, lo)
+			}
+			low, high := int(g.CellOf[len(pts)-2]), int(g.CellOf[len(pts)-1])
+			d := max(abs(high%g.NX-low%g.NX), abs(high/g.NX-low/g.NX))
+			if d != max(g.NX, g.NY)-1 {
+				t.Fatalf("k=%v %s: corner pins %d rings apart on a %dx%d grid", k, name, d, g.NX, g.NY)
+			}
+			txs := append(windowNodes(f, low), len(pts)-1)
+			if hi, lo := round(txs, low); hi != f.ringHi[d] || lo != f.ringLo[d] {
+				t.Errorf("k=%v %s: far corner pin alone outside cell %d's window: pair (%v, %v), want ring %d's (%v, %v)",
+					k, name, low, hi, lo, d, f.ringHi[d], f.ringLo[d])
+			}
 		}
 	}
+}
+
+// windowNodes returns the nodes of listener cell c's ±span window.
+func windowNodes(f *SparseField, c int) []int {
+	g := f.grid
+	xlo, xhi, ylo, yhi := f.window(c)
+	var out []int
+	for y := ylo; y <= yhi; y++ {
+		for x := xlo; x <= xhi; x++ {
+			cc := y*g.NX + x
+			for _, v := range g.Nodes[g.Start[cc]:g.Start[cc+1]] {
+				out = append(out, int(v))
+			}
+		}
+	}
+	return out
 }
 
 // TestSmallCheckMatchesExact pins the certified small-round scan to its

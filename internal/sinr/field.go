@@ -265,41 +265,27 @@ func (f *Field) deliverMarked(transmitters []int, listeners []int, dst []Recepti
 		return f.deliverTransposed(transmitters, listeners, dst)
 	}
 	var cs *candScratch
-	if f.grid != nil && txCandCells*len(transmitters) < count {
-		cs = f.candScratch()
-		total := cs.mark(transmitters)
-		if listeners == nil && total*enumDivisor <= count {
-			listeners = cs.gather()
-			cs = nil // enumerated candidates need no per-listener filter
+	if f.grid != nil {
+		listeners, cs = f.candScratch().prune(transmitters, listeners, f.n)
+		if listeners != nil {
+			count = len(listeners)
 		}
 	}
-	if listeners == nil {
-		for u := 0; u < f.n; u++ {
-			if u&stopStride == 0 && f.stop != nil {
-				if err := f.stop(); err != nil {
-					return dst, err
-				}
-			}
-			if isTx[u] || (cs != nil && cs.skip(u)) {
-				continue
-			}
-			if v, ok := f.decide(u, transmitters); ok {
-				dst = append(dst, Reception{Receiver: u, Sender: v})
+	for i := 0; i < count; i++ {
+		if i&stopStride == 0 && f.stop != nil {
+			if err := f.stop(); err != nil {
+				return dst, err
 			}
 		}
-	} else {
-		for i, u := range listeners {
-			if i&stopStride == 0 && f.stop != nil {
-				if err := f.stop(); err != nil {
-					return dst, err
-				}
-			}
-			if isTx[u] || (cs != nil && cs.skip(u)) {
-				continue
-			}
-			if v, ok := f.decide(u, transmitters); ok {
-				dst = append(dst, Reception{Receiver: u, Sender: v})
-			}
+		u := i
+		if listeners != nil {
+			u = listeners[i]
+		}
+		if isTx[u] || (cs != nil && cs.skip(u)) {
+			continue
+		}
+		if v, ok := f.decide(u, transmitters); ok {
+			dst = append(dst, Reception{Receiver: u, Sender: v})
 		}
 	}
 	return dst, nil

@@ -13,9 +13,9 @@ import (
 // domain) after transmitter-centric listener pruning; larger sets take the
 // grid sweep (deliverAccum). Measured against that sweep (BenchmarkDeliverTx
 // sparse rows, each |txs| forced through both paths, min of 7 interleaved
-// runs, 2 vCPUs), direct vs grid in ms: n=4096: 0.30/0.21 at 24, 0.49/0.27
-// at 32, 0.90/0.42 at 48, 1.28/0.66 at 64; n=16384: 0.46/0.38 at 24,
-// 0.69/0.46 at 32, 1.33/0.62 at 48, 1.87/0.91 at 64. On these all-listener
+// runs, 2 vCPUs), direct vs grid in ms: n=4096: 0.21/0.17 at 24, 0.39/0.24
+// at 32, 0.76/0.38 at 48, 1.03/0.45 at 64; n=16384: 0.34/0.30 at 24,
+// 0.58/0.42 at 32, 1.17/0.58 at 48, 1.69/0.75 at 64. On these all-listener
 // rounds the sweep wins from 24 up; the value stays until a run-level
 // measurement, which includes restricted listener sets, moves it.
 const smallTxCutoff = 48
@@ -25,19 +25,11 @@ const smallTxCutoff = 48
 // overhead exceeds the work.
 const parallelCutoff = 256
 
-// superSide is the coarse aggregation factor of the out-of-window bound: a
-// supercell is superSide × superSide grid cells. Tail bounds enumerate
-// individual cells inside the listener's 3×3 supercell block and whole
-// supercells beyond it.
-const superSide = 4
-
 // windowReach is the reach of a grid-path listener's exact window in
 // transmission ranges: the window spans ±span cells around the listener's
 // cell, span = int(windowReach·Range/cell)+1, so every transmitter outside
 // it is farther than windowReach·Range from any point of the cell. The cell
-// side is at least Range, hence span ≤ 3 < superSide: the window always
-// lies inside the fine level of the tail bound (the listener cell's 3×3
-// supercell block), and every coarse supercell is wholly outside it.
+// side is at least Range, hence 1 ≤ span ≤ 3.
 const windowReach = 2.0
 
 // certSlack is the relative margin demanded before the bounded fast paths
@@ -61,8 +53,10 @@ func certYes(x, need float64) bool { return x >= need && x-need > certSlack*need
 //     field's spatial grid and sweeps the listener cells (deliverAccum,
 //     accum.go): each cell derives its ±span window once, its listeners sum
 //     every window transmitter exactly, and only the transmitters outside
-//     the window are bounded, by a count-weighted per-cell pair
-//     (computeCellTail) or, when that pair cannot decide, summed exactly too
+//     the window are bounded: a ring walk over a summed-area table of the
+//     round's per-cell counts weights each Chebyshev ring of cells by its
+//     closest and farthest gain (computeCellTail), and when that pair cannot
+//     decide, the out-of-window transmitters are summed exactly too
 //     (outTail).
 //
 // Either way a reception is granted or denied on the fast sums only when
@@ -92,41 +86,24 @@ type SparseField struct {
 	// transmitter-centric pruning and the grid sweep's listener cells read.
 	grid *geom.GridIndex
 
-	// Supercell (superSide × superSide cells) grid dimensions, the coarse
-	// level of the out-of-window bound.
-	nsx, nsy int
+	span int // listener window half-width in cells (see windowReach)
 
-	// Static per-offset member gain bounds: all grid cells are congruent, so
-	// the min/max distance between two cells depends only on their offset.
-	// nearHi is the gain at the minimum distance (+Inf at touching offsets),
-	// nearLo at the maximum; index (dy+fineHalf)*fineDim + (dx+fineHalf).
-	// The quick tiers weight them by the transmitter counts of a listener
-	// cell's window; computeCellTail's fine level by those of the cells
-	// outside it (chebyshev offset ≥ 2, so every entry it reads is finite).
+	// Static per-offset member gain bounds over a listener cell's window: all
+	// grid cells are congruent, so the min/max distance between two cells
+	// depends only on their offset. nearHi is the gain at the minimum
+	// distance (+Inf at touching offsets), nearLo at the maximum; index
+	// (dy+span)·(2·span+1) + (dx+span). The quick tiers weight them by the
+	// transmitter counts of the window's cells.
 	nearHi []float64
 	nearLo []float64
 
-	// Grid-wide per-offset bounds (the same semantics, full grid range): one
-	// pass over the occupied cells bounds the out-of-window transmitters in
-	// sparse rounds. Index (dy+ny−1)·godx + (dx+nx−1); nil when the grid is
-	// too large (gridTableCap), which falls back to the fine/coarse levels.
-	gridHi []float64
-	gridLo []float64
-	godx   int
+	// Static per-ring gain bounds beyond the window: a cell at Chebyshev
+	// offset d from the listener cell is at least (d−1)·cell and at most
+	// √2·(d+1)·cell away from any of its points, so ringHi[d] and ringLo[d]
+	// are the gains at those distances. Entries d ≤ span are unused.
+	ringHi []float64
+	ringLo []float64
 
-	// Static coarse-level gain bounds. All supercells are congruent squares
-	// and every cell sits at one of superSide² sub-positions within its
-	// supercell, so the min/max rect-to-rect distance between a listener
-	// cell and a whole supercell depends only on (sub-position, supercell
-	// offset). Precomputing the bound gains per such pair turns the
-	// per-round coarse loop into one table lookup per dirty supercell.
-	// Index base (suby·superSide+subx)·sodx·sody, then (dsy+nsy−1)·sodx +
-	// (dsx+nsx−1) for supercell offset (dsx, dsy).
-	superHi    []float64
-	superLo    []float64
-	sodx, sody int
-
-	span int // listener window half-width in cells (see windowReach)
 	// rangeQ2 is the squared-distance cutoff of the quick certain-no scan:
 	// any transmitter whose gain could reach the β·noise reception floor
 	// (within the certSlack margin) lies within it, so a scan confined to
@@ -162,10 +139,10 @@ type sparseScratch struct {
 	isTx      []bool
 	stripeErr []error // per-stripe stop errors (grid path)
 
-	// Supercell transmitter totals, the coarse level of the out-of-window
-	// bound.
-	superCount []int32
-	superDirty []int32
+	// sat is the round's summed-area table of per-cell transmitter counts:
+	// sat[y·(NX+1)+x] counts the transmitters in cells [0,x)×[0,y), so any
+	// cell box's count is four lookups (boxCount).
+	sat []int32
 
 	// cand is the transmitter-centric candidate scratch (cell stamps and the
 	// gathered listener buffer).
@@ -205,18 +182,6 @@ type sparseScratch struct {
 	outStamp int64
 }
 
-// fineHalf spans the largest cell offset reachable inside a 3×3 supercell
-// block (2·superSide−1 cells, padded to 3·superSide for safety).
-const fineHalf = 3 * superSide
-
-// fineDim is the fine-table side length.
-const fineDim = 2*fineHalf + 1
-
-// gridTableCap bounds the grid-wide offset table size (entries per table);
-// beyond it (huge sparse areas) computeCellTail falls back to the two-level
-// fine/coarse structure, which is O(1) in grid size.
-const gridTableCap = 1 << 21
-
 // NewSparseField builds a sparse engine over the given positions. Its grid
 // (geom.GridIndex) has cell side Range, the candidate-sender query radius,
 // grown if needed to cap the cell count near 8·n so sparse deployments over
@@ -233,18 +198,17 @@ func NewSparseField(params Params, pos []geom.Point) (*SparseField, error) {
 	}
 	f.grid = geom.NewGridIndex(f.pos, params.Range())
 	g := f.grid
-	f.nsx = (g.NX + superSide - 1) / superSide
-	f.nsy = (g.NY + superSide - 1) / superSide
 	f.span = int(windowReach*params.Range()/g.Cell) + 1
 	// gain(d) ≥ β·noise·(1−certSlack) ⟺ d² ≤ range²·(1−certSlack)^(−2/α):
 	// the ball the quick certain-no scan must cover exactly.
 	f.rangeQ2 = params.Range() * params.Range() * math.Pow(1-certSlack, -2/params.Alpha)
-	f.nearHi, f.nearLo = f.offsetTables(fineHalf, fineHalf)
-	f.godx = 2*g.NX - 1
-	if f.godx*(2*g.NY-1) <= gridTableCap {
-		f.gridHi, f.gridLo = f.offsetTables(g.NX-1, g.NY-1)
+	f.nearHi, f.nearLo = f.offsetTables(f.span)
+	f.ringHi = make([]float64, max(g.NX, g.NY))
+	f.ringLo = make([]float64, len(f.ringHi))
+	for d := f.span + 1; d < len(f.ringHi); d++ {
+		f.ringHi[d] = gainAt(params, float64(d-1)*g.Cell)
+		f.ringLo[d] = gainAt(params, math.Sqrt2*float64(d+1)*g.Cell)
 	}
-	f.buildSuperTables()
 	f.scr = f.newScratch()
 	return f, nil
 }
@@ -257,7 +221,7 @@ func (f *SparseField) newScratch() *sparseScratch {
 		cellStart:  make([]int32, cells),
 		cellEnd:    make([]int32, cells),
 		isTx:       make([]bool, f.n),
-		superCount: make([]int32, f.nsx*f.nsy),
+		sat:        make([]int32, (f.grid.NX+1)*(f.grid.NY+1)),
 		cand:       newCandScratch(f.grid),
 		cellTail:   make([]uint64, cells),
 		cellTailLo: make([]uint64, cells),
@@ -287,57 +251,25 @@ func (f *SparseField) Session() Engine {
 func (f *SparseField) SetStopCheck(fn func() error) { f.stop = fn }
 
 // offsetTables returns the member gain bounds between two grid cells for
-// every cell offset |dx| ≤ hx, |dy| ≤ hy: hi at the minimum distance
-// between the cells (+Inf at touching offsets), lo at the maximum. Index
-// (dy+hy)·(2hx+1) + (dx+hx).
-func (f *SparseField) offsetTables(hx, hy int) (hi, lo []float64) {
-	w, cell := 2*hx+1, f.grid.Cell
-	hi = make([]float64, w*(2*hy+1))
+// every cell offset |dx|, |dy| ≤ h: hi at the minimum distance between the
+// cells (+Inf at touching offsets), lo at the maximum. Index
+// (dy+h)·(2h+1) + (dx+h).
+func (f *SparseField) offsetTables(h int) (hi, lo []float64) {
+	w, cell := 2*h+1, f.grid.Cell
+	hi = make([]float64, w*w)
 	lo = make([]float64, len(hi))
-	for dy := -hy; dy <= hy; dy++ {
-		for dx := -hx; dx <= hx; dx++ {
+	for dy := -h; dy <= h; dy++ {
+		for dx := -h; dx <= h; dx++ {
 			gapX := float64(max(abs(dx)-1, 0)) * cell
 			gapY := float64(max(abs(dy)-1, 0)) * cell
 			maxX := float64(abs(dx)+1) * cell
 			maxY := float64(abs(dy)+1) * cell
-			i := (dy+hy)*w + dx + hx
+			i := (dy+h)*w + dx + h
 			hi[i] = gainAt(f.params, math.Sqrt(gapX*gapX+gapY*gapY))
 			lo[i] = gainAt(f.params, math.Sqrt(maxX*maxX+maxY*maxY))
 		}
 	}
 	return hi, lo
-}
-
-// buildSuperTables precomputes the coarse-level bound gains per (cell
-// sub-position, supercell offset) pair: hi at the closest rect-to-rect
-// distance, lo at the farthest. The geometry is translation-invariant, so
-// the rects are laid out relative to the listener cell's supercell origin.
-// Only supercells outside the listener's 3×3 supercell block are read, and
-// those are at least superSide−1 cells away (never +Inf).
-func (f *SparseField) buildSuperTables() {
-	f.sodx, f.sody = 2*f.nsx-1, 2*f.nsy-1
-	f.superHi = make([]float64, superSide*superSide*f.sodx*f.sody)
-	f.superLo = make([]float64, len(f.superHi))
-	cell := f.grid.Cell
-	sw := float64(superSide) * cell
-	for suby := 0; suby < superSide; suby++ {
-		for subx := 0; subx < superSide; subx++ {
-			ax0 := float64(subx) * cell
-			ay0 := float64(suby) * cell
-			base := (suby*superSide + subx) * f.sodx * f.sody
-			for dsy := -(f.nsy - 1); dsy <= f.nsy-1; dsy++ {
-				row := base + (dsy+f.nsy-1)*f.sodx
-				for dsx := -(f.nsx - 1); dsx <= f.nsx-1; dsx++ {
-					qx0 := float64(dsx) * sw
-					qy0 := float64(dsy) * sw
-					dmin2, dmax2 := rectRectDist2(ax0, ay0, ax0+cell, ay0+cell, qx0, qy0, qx0+sw, qy0+sw)
-					i := row + dsx + f.nsx - 1
-					f.superHi[i] = gainAt(f.params, math.Sqrt(dmin2))
-					f.superLo[i] = gainAt(f.params, math.Sqrt(dmax2))
-				}
-			}
-		}
-	}
 }
 
 func abs(x int) int {
@@ -378,7 +310,8 @@ func (f *SparseField) CommGraph() [][]int {
 
 // bucketTx fills the CSR transmitter buckets for one round. cellEnd doubles
 // as the per-cell count, then the placement cursor; after placement it holds
-// each cell's end offset while cellStart holds its start.
+// each cell's end offset while cellStart holds its start. It then fills the
+// summed-area table of the per-cell counts.
 func (f *SparseField) bucketTx(txs []int) {
 	s := f.scr
 	if cap(s.cellTx) < len(txs) {
@@ -396,29 +329,26 @@ func (f *SparseField) bucketTx(txs []int) {
 		s.cellEnd[c]++
 	}
 	var sum int32
-	s.superDirty = s.superDirty[:0]
 	for _, c := range s.dirty {
 		cnt := s.cellEnd[c]
 		s.cellStart[c] = sum
 		s.cellEnd[c] = sum // placement cursor
 		sum += cnt
-		sc := f.superOf(int(c))
-		if s.superCount[sc] == 0 {
-			s.superDirty = append(s.superDirty, int32(sc))
-		}
-		s.superCount[sc] += cnt
 	}
 	for _, v := range txs {
 		c := cellOf[v]
 		s.cellTx[s.cellEnd[c]] = int32(v)
 		s.cellEnd[c]++
 	}
-}
-
-// superOf returns the supercell index of grid cell c.
-func (f *SparseField) superOf(c int) int {
-	nx := f.grid.NX
-	return (c/nx/superSide)*f.nsx + (c%nx)/superSide
+	nx, w := f.grid.NX, f.grid.NX+1
+	for y := 0; y < f.grid.NY; y++ {
+		var row int32
+		for x := 0; x < nx; x++ {
+			c := y*nx + x
+			row += s.cellEnd[c] - s.cellStart[c]
+			s.sat[(y+1)*w+x+1] = s.sat[y*w+x+1] + row
+		}
+	}
 }
 
 // resetBuckets clears the per-round CSR state touched by bucketTx.
@@ -427,9 +357,6 @@ func (f *SparseField) resetBuckets() {
 	for _, c := range s.dirty {
 		s.cellStart[c] = 0
 		s.cellEnd[c] = 0
-	}
-	for _, sc := range s.superDirty {
-		s.superCount[sc] = 0
 	}
 }
 
@@ -472,26 +399,13 @@ func (f *SparseField) Deliver(transmitters []int, listeners []int, dst []Recepti
 // tripped mid-round; the caller restores scratch and aborts.
 func (f *SparseField) deliverSmall(transmitters []int, listeners []int, dst []Reception) ([]Reception, error) {
 	s := f.scr
+	// Transmitter-centric pruning: listeners outside the cells around the
+	// transmitters cannot receive (see txcentric.go).
+	listeners, cs := s.cand.prune(transmitters, listeners, f.n)
 	count := f.n
 	if listeners != nil {
 		count = len(listeners)
 	}
-
-	// Transmitter-centric pruning: stamp the cells around the transmitters;
-	// listeners outside them cannot receive (see txcentric.go). With few
-	// enough candidates and no explicit listener slice, enumerate them
-	// outright so the round cost scales with the activity, not with n.
-	var cs *candScratch
-	if txCandCells*len(transmitters) < count {
-		cs = s.cand
-		total := cs.mark(transmitters)
-		if listeners == nil && total*enumDivisor <= count {
-			listeners = cs.gather()
-			count = len(listeners)
-			cs = nil // enumerated candidates need no per-listener filter
-		}
-	}
-
 	for i := 0; i < count; i++ {
 		if i&stopStride == 0 && f.stop != nil {
 			if err := f.stop(); err != nil {
@@ -502,10 +416,7 @@ func (f *SparseField) deliverSmall(transmitters []int, listeners []int, dst []Re
 		if listeners != nil {
 			u = listeners[i]
 		}
-		if s.isTx[u] {
-			continue
-		}
-		if cs != nil && cs.skip(u) {
+		if s.isTx[u] || (cs != nil && cs.skip(u)) {
 			continue
 		}
 		if v, ok := f.smallCheck(u, transmitters); ok {
@@ -642,97 +553,37 @@ func (f *SparseField) cellTailBounds(c int32) (hi, lo float64) {
 	return hi, lo
 }
 
-// fineDirtyCutoff selects the iteration strategy of computeCellTail: below
-// it the round's occupied-cell list is walked (cheap in the many
-// low-density rounds), at or above it the 3×3-supercell block is swept
-// directly.
-const fineDirtyCutoff = 128
+// boxCount returns the round's transmitter count in the cells at Chebyshev
+// offset ≤ d from cell (cx, cy), clipped to the grid.
+func (f *SparseField) boxCount(cx, cy, d int) int32 {
+	nx, ny, w, sat := f.grid.NX, f.grid.NY, f.grid.NX+1, f.scr.sat
+	x0, x1 := max(cx-d, 0), min(cx+d+1, nx)
+	y0, y1 := max(cy-d, 0), min(cy+d+1, ny)
+	return sat[y1*w+x1] - sat[y0*w+x1] - sat[y1*w+x0] + sat[y0*w+x0]
+}
 
 // computeCellTail bounds the aggregate interference, at any point of
 // listener cell c, from the transmitters in cells outside c's ±span window.
-// Every such cell contributes its transmitter count times the gain at its
-// closest point (hi) and at its farthest point (lo), so lo ≤ the exact
-// out-of-window sum (outTail) ≤ hi for every listener of c, up to rounding.
-//
-// Sparse rounds walk the occupied-cell list through the grid-wide offset
-// tables. Dense rounds use two levels: individual cells inside c's 3×3
-// supercell block through nearHi/nearLo, whole supercells beyond it through
-// the sub-position tables (the window lies inside the block, see
-// windowReach, so no supercell reaches into it).
+// It walks the Chebyshev rings d = span+1, span+2, … around c, counting each
+// ring's transmitters as the difference of two box counts, and weights the
+// count by ringHi[d] (hi) and ringLo[d] (lo); the walk stops at the ring
+// that holds the round's last transmitter. So lo ≤ the exact out-of-window
+// sum (outTail) ≤ hi for every listener of c, up to rounding, and the cost
+// is O(rings), independent of how many cells the round occupies.
 func (f *SparseField) computeCellTail(c int) (hi, lo float64) {
-	scr := f.scr
-	nx, ny := f.grid.NX, f.grid.NY
-	cx, cy := c%nx, c/nx
-	span := f.span
-	if len(scr.dirty) < fineDirtyCutoff && f.gridHi != nil {
-		// The dirty list is built deterministically per round, so redundant
-		// concurrent recomputation still stores identical bits.
-		tbase := (ny-1-cy)*f.godx + nx - 1 - cx
-		for _, ci := range scr.dirty {
-			cc := int(ci)
-			gx, gy := cc%nx, cc/nx
-			if gx >= cx-span && gx <= cx+span && gy >= cy-span && gy <= cy+span {
-				continue
-			}
-			cnt := float64(scr.cellEnd[cc] - scr.cellStart[cc])
-			ti := tbase + gy*f.godx + gx
-			hi += cnt * f.gridHi[ti]
-			lo += cnt * f.gridLo[ti]
+	g := f.grid
+	total := f.scr.sat[len(f.scr.sat)-1]
+	cx, cy := c%g.NX, c/g.NX
+	inside := f.boxCount(cx, cy, f.span)
+	for d := f.span + 1; inside < total; d++ {
+		next := f.boxCount(cx, cy, d)
+		if cnt := float64(next - inside); cnt > 0 {
+			hi += cnt * f.ringHi[d]
+			lo += cnt * f.ringLo[d]
 		}
-		return hi, lo
-	}
-
-	sx, sy := cx/superSide, cy/superSide
-	bx0, by0 := max((sx-1)*superSide, 0), max((sy-1)*superSide, 0)
-	bx1, by1 := min((sx+2)*superSide-1, nx-1), min((sy+2)*superSide-1, ny-1)
-	for gy := by0; gy <= by1; gy++ {
-		base := gy * nx
-		trow := (gy - cy + fineHalf) * fineDim
-		inRow := gy >= cy-span && gy <= cy+span
-		for gx := bx0; gx <= bx1; gx++ {
-			cc := base + gx
-			cnt := float64(scr.cellEnd[cc] - scr.cellStart[cc])
-			if cnt == 0 || (inRow && gx >= cx-span && gx <= cx+span) {
-				continue
-			}
-			ti := trow + gx - cx + fineHalf
-			hi += cnt * f.nearHi[ti]
-			lo += cnt * f.nearLo[ti]
-		}
-	}
-
-	sub := ((cy%superSide)*superSide + cx%superSide) * f.sodx * f.sody
-	for _, si := range scr.superDirty {
-		s := int(si)
-		qsx, qsy := s%f.nsx, s/f.nsx
-		if qsx >= sx-1 && qsx <= sx+1 && qsy >= sy-1 && qsy <= sy+1 {
-			continue // covered by the fine level
-		}
-		cnt := float64(scr.superCount[s])
-		ti := sub + (qsy-sy+f.nsy-1)*f.sodx + qsx - sx + f.nsx - 1
-		hi += cnt * f.superHi[ti]
-		lo += cnt * f.superLo[ti]
+		inside = next
 	}
 	return hi, lo
-}
-
-// rectRectDist2 returns the squared minimum and maximum distances between
-// the axis-aligned rectangles [ax0,ax1]×[ay0,ay1] and [bx0,bx1]×[by0,by1].
-func rectRectDist2(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64) (dmin2, dmax2 float64) {
-	var dx, dy float64
-	if bx0 > ax1 {
-		dx = bx0 - ax1
-	} else if ax0 > bx1 {
-		dx = ax0 - bx1
-	}
-	if by0 > ay1 {
-		dy = by0 - ay1
-	} else if ay0 > by1 {
-		dy = ay0 - by1
-	}
-	mx := math.Max(bx1-ax0, ax1-bx0)
-	my := math.Max(by1-ay0, ay1-by0)
-	return dx*dx + dy*dy, mx*mx + my*my
 }
 
 // gainFromDist2 is the received-power formula on a squared distance — the

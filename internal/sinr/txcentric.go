@@ -50,6 +50,28 @@ func newCandScratch(g *geom.GridIndex) *candScratch {
 	return &candScratch{grid: g, stamp: make([]int64, g.NX*g.NY)}
 }
 
+// prune makes the transmitter-centric choice of one round for both engines.
+// listeners is the round's listener slice (nil: all n nodes). Marking is
+// attempted only when it is cheap relative to the listener count; with few
+// enough candidates and no explicit listener slice, they are enumerated
+// outright, so the round cost scales with the activity, not with n. It
+// returns the listeners to visit (nil: all n nodes) and filter = s when they
+// still need the per-listener skip filter, nil otherwise.
+func (s *candScratch) prune(txs, listeners []int, n int) (ls []int, filter *candScratch) {
+	count := n
+	if listeners != nil {
+		count = len(listeners)
+	}
+	if txCandCells*len(txs) >= count {
+		return listeners, nil
+	}
+	total := s.mark(txs)
+	if listeners == nil && total*enumDivisor <= count {
+		return s.gather(), nil // enumerated candidates need no filter
+	}
+	return listeners, s
+}
+
 // mark stamps every cell of the 3×3 blocks around the transmitters' cells
 // and returns the total node occupancy of the stamped cells (an upper bound
 // on the possible receivers, transmitters included).
