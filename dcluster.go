@@ -63,6 +63,7 @@ package dcluster
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"dcluster/internal/analysis"
@@ -197,7 +198,7 @@ func (n *Network) validateIDs() error {
 func WithEngine(kind EngineKind) Option { return func(n *Network) { n.engine = kind } }
 
 // NewNetwork builds a network over the given node positions, which must be
-// finite.
+// finite and pairwise distinct.
 func NewNetwork(pts []Point, opts ...Option) (*Network, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("dcluster: empty point set")
@@ -205,6 +206,24 @@ func NewNetwork(pts []Point, opts ...Option) (*Network, error) {
 	for i, p := range pts {
 		if math.IsInf(p.X, 0) || math.IsNaN(p.X) || math.IsInf(p.Y, 0) || math.IsNaN(p.Y) {
 			return nil, fmt.Errorf("dcluster: point %d at (%v, %v) is not finite", i, p.X, p.Y)
+		}
+	}
+	// Co-located nodes have an infinite mutual gain. A table of node
+	// indices, open-addressed by a hash of the position (+0 and −0 hash
+	// alike), finds the first node whose point an earlier node holds.
+	lg := bits.Len(uint(len(pts))) + 1
+	tab := make([]int32, 1<<lg) // node index + 1; 0 is empty
+	for i, p := range pts {
+		h := (math.Float64bits(p.X+0)*0x9e3779b97f4a7c15 ^ math.Float64bits(p.Y+0)) * 0xbf58476d1ce4e5b9
+		for k := h >> (64 - lg); ; k = (k + 1) % uint64(len(tab)) {
+			j := int(tab[k]) - 1
+			if j < 0 {
+				tab[k] = int32(i + 1)
+				break
+			}
+			if pts[j] == p {
+				return nil, fmt.Errorf("dcluster: points %d and %d are both at (%v, %v)", j, i, p.X, p.Y)
+			}
 		}
 	}
 	n := &Network{

@@ -2,7 +2,9 @@ package dcluster
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -43,6 +45,44 @@ func TestNewNetworkRejectsNonFinite(t *testing.T) {
 				if _, err := NewNetwork(pts, WithEngine(kind)); err == nil {
 					t.Errorf("%s engine: point (%v, %v) accepted, want an error", kind, p.X, p.Y)
 				}
+			}
+		}
+	}
+}
+
+// TestNewNetworkRejectsCoLocated gives NewNetwork two nodes at one point,
+// once exactly equal and once differing only in the sign of a zero: it must
+// return an error naming both indices, not build a network whose dense gain
+// between them is +Inf.
+func TestNewNetworkRejectsCoLocated(t *testing.T) {
+	for _, tc := range []struct {
+		p    Point
+		want string
+	}{{Pt(1.4, 0), "points 2 and 5 "}, {Pt(0, math.Copysign(0, -1)), "points 0 and 5 "}} {
+		pts := append(LinePath(5, 0.7), tc.p) // nodes at x = 0, 0.7, …, 2.8
+		for _, kind := range []EngineKind{EngineDense, EngineSparse} {
+			if _, err := NewNetwork(pts, WithEngine(kind)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s engine: point (%v, %v) repeated: err = %v, want one naming %q", kind, tc.p.X, tc.p.Y, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestBroadcastSourceOutOfRange runs the broadcast tasks from sources that
+// are not nodes of the network: each must fail with a plain error, not an
+// index panic reported as ErrInternal.
+func TestBroadcastSourceOutOfRange(t *testing.T) {
+	pts := LinePath(6, 0.7)
+	n := len(pts)
+	for _, kind := range []EngineKind{EngineDense, EngineSparse} {
+		net, err := NewNetwork(pts, WithEngine(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range []Task{GlobalBroadcast(n), GlobalBroadcast(-1), MultiSourceBroadcast([]int{0, n})} {
+			_, err := net.Run(context.Background(), task)
+			if err == nil || errors.Is(err, ErrInternal) {
+				t.Errorf("%s engine, %s: err = %v, want a plain error", kind, task.Name(), err)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dcluster/internal/flat"
 	"dcluster/internal/geom"
@@ -146,10 +147,12 @@ func (c Clustering) Validate(pts []geom.Point, r, eps float64, requireAll bool) 
 			return fmt.Errorf("analysis: point %d at distance %.4f > r=%.2f from centre of cluster %d", i, d, r, φ)
 		}
 	}
+	// Sorted, so an invalid clustering always reports the same pair.
 	centers := make([]int, 0, len(c.Center))
 	for _, idx := range c.Center {
 		centers = append(centers, idx)
 	}
+	slices.Sort(centers)
 	for a := 0; a < len(centers); a++ {
 		for b := a + 1; b < len(centers); b++ {
 			if d := geom.Dist(pts[centers[a]], pts[centers[b]]); d < (1-eps)-1e-9 {

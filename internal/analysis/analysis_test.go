@@ -97,6 +97,27 @@ func TestValidateClustering(t *testing.T) {
 	}
 }
 
+// TestValidateReportsFixedCentrePair repeats Validate on a clustering whose
+// six centres are all closer than 1−ε to each other: the report must name
+// the same pair, the two lowest centre indices, on every call, whatever
+// order the Center map iterates in.
+func TestValidateReportsFixedCentrePair(t *testing.T) {
+	var pts []geom.Point
+	c := Clustering{Center: map[int32]int{}}
+	for i := 0; i < 6; i++ {
+		pts = append(pts, geom.Pt(0.1*float64(i), 0))
+		φ := int32(20 - i) // cluster ids in the opposite order to the centres
+		c.ClusterOf = append(c.ClusterOf, φ)
+		c.Center[φ] = i
+	}
+	const want = "analysis: centres 0 and 1 at distance 0.1000 < 1−ε"
+	for rep := 0; rep < 100; rep++ {
+		if err := c.Validate(pts, 1, 0.25, true); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate = %v, want %q", rep, err, want)
+		}
+	}
+}
+
 func TestClustersPerUnitBall(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(0.1, 0), geom.Pt(0.2, 0), geom.Pt(5, 5)}
 	clusterOf := []int32{1, 2, 3, 4}

@@ -224,9 +224,15 @@ func countAwake(res *GlobalResult) int {
 	return c
 }
 
-// ValidateSourcesSparse checks the SMSB precondition d(u,v) > 1−ε for
-// distinct sources.
+// ValidateSourcesSparse checks that every source is a node of the network
+// and the SMSB precondition d(u,v) > 1−ε for distinct sources.
 func ValidateSourcesSparse(env *sim.Env, sources []int) error {
+	n := env.F.N()
+	for _, s := range sources {
+		if s < 0 || s >= n {
+			return fmt.Errorf("broadcast: source %d out of range [0, %d)", s, n)
+		}
+	}
 	rad := env.F.Params().GraphRadius()
 	for i := 0; i < len(sources); i++ {
 		for j := i + 1; j < len(sources); j++ {

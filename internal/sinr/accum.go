@@ -2,7 +2,6 @@ package sinr
 
 import (
 	"math"
-	"sync"
 
 	"dcluster/internal/geom"
 )
@@ -18,12 +17,15 @@ import (
 // from. A listener has one exact region, every transmitter of its window,
 // and one bounded region, every cell outside it (α > 2 makes that
 // interference converge, so a count-weighted bound on it is sound): the
-// per-cell (hi, lo) pair of computeCellTail, a walk over the Chebyshev rings
-// of cells around the window that reads each ring's transmitter count from
-// the round's summed-area table and weights it by the ring's closest and
-// farthest gain. Every decision is certified under the certSlack margin or
-// falls back to the dense-order exactCheck, so receptions are byte-identical
-// to the dense engine's.
+// (hi, lo) pair of computeCellTail, a walk over the Chebyshev rings of cells
+// around the window that reads each ring's transmitter count from the
+// round's summed-area table and weights it by the ring's closest and
+// farthest gain. That pair, and the list of dirty cells outside the window
+// that the exact out-of-window walk reads, are state of the listener cell
+// being visited (cellTail): filled for the first listener that needs them
+// and dropped when the sweep moves on. Every decision is certified under the
+// certSlack margin or falls back to the dense-order exactCheck, so
+// receptions are byte-identical to the dense engine's.
 
 // winCell is one nonempty bucket cell of a listener-cell window: its
 // transmitter range in the round's CSR bucket array.
@@ -31,10 +33,44 @@ type winCell struct {
 	start, end int32
 }
 
+// gridStripe is the scratch of one stripe of listener-cell rows: the
+// window descriptors (inner 3×3 first, then the outer ones copied from
+// outw), one listener's quick-pass squared distances, the buffer of the
+// visited cell's out-of-window list, and the stop-hook error that ended the
+// stripe.
+type gridStripe struct {
+	win, outw []winCell
+	d2q       []float64
+	out       []int32
+	err       error
+}
+
+// cellTail is the out-of-window state of the listener cell c a stripe is
+// visiting, for the current round: the computeCellTail pair (hi, lo) and
+// the round's dirty cells outside c's window, each filled lazily for the
+// first listener that needs it (most listeners exit before either).
+type cellTail struct {
+	c               int
+	hi, lo          float64
+	out             []int32
+	bounded, listed bool
+}
+
+// bounds returns the pair, computing it on first use.
+func (f *SparseField) bounds(t *cellTail) (hi, lo float64) {
+	if !t.bounded {
+		t.hi, t.lo = f.computeCellTail(t.c)
+		t.bounded = true
+	}
+	return t.hi, t.lo
+}
+
 // deliverAccum is the accumulating Deliver core, entered with the bucket CSR
-// built. It processes listeners cell by cell in row-major order, then emits
-// receptions in listener order from the flat outcome array, the order the
-// Engine contract fixes.
+// built. It sweeps the listener cells in row-major order, in one stripe of
+// rows, or in up to GOMAXPROCS stripes on fields of at least parallelCutoff
+// nodes: stripe 0 runs on the caller's goroutine, the others on their own.
+// It then emits receptions in listener order from the flat outcome array,
+// the order the Engine contract fixes.
 func (f *SparseField) deliverAccum(txs []int, listeners []int, dst []Reception) ([]Reception, error) {
 	s := f.scr
 	var isL []bool
@@ -45,51 +81,32 @@ func (f *SparseField) deliverAccum(txs []int, listeners []int, dst []Reception) 
 		}
 	}
 
+	rows, stripes := f.grid.NY, 1
+	if f.workers >= 2 && f.n >= parallelCutoff {
+		stripes = min(f.workers, rows)
+	}
+	per := (rows + stripes - 1) / stripes
+	stripes = (rows + per - 1) / per // every stripe nonempty
+	for len(s.stripes) < stripes {
+		s.stripes = append(s.stripes, gridStripe{})
+	}
+	for w := 1; w < stripes; w++ {
+		s.wg.Add(1)
+		// Everything is passed as an argument, not captured: a capture
+		// would move the captured variables to the heap on every call,
+		// one-stripe rounds included.
+		go func(f *SparseField, st *gridStripe, y0, y1 int, txs []int, isL []bool) {
+			defer f.scr.wg.Done()
+			st.err = f.accumRows(st, y0, y1, txs, isL)
+		}(f, &s.stripes[w], w*per, min(w*per+per, rows), txs, isL)
+	}
+	s.stripes[0].err = f.accumRows(&s.stripes[0], 0, per, txs, isL)
+	s.wg.Wait()
 	var stopErr error
-	rows := f.grid.NY
-	if f.workers >= 2 && f.n >= parallelCutoff && rows >= 2 {
-		s.outSeq = false
-		stripes := f.workers
-		if stripes > rows {
-			stripes = rows
+	for w := range s.stripes[:stripes] {
+		if stopErr = s.stripes[w].err; stopErr != nil {
+			break
 		}
-		for len(s.winPar) < stripes {
-			s.winPar = append(s.winPar, make([]winCell, 0, cap(s.win)))
-			s.outwPar = append(s.outwPar, make([]winCell, 0, cap(s.outw)))
-			s.d2qPar = append(s.d2qPar, make([]float64, 0, cap(s.d2q)))
-			s.stripeErr = append(s.stripeErr, nil)
-		}
-		per := (rows + stripes - 1) / stripes
-		var wg sync.WaitGroup
-		for w := 0; w < stripes; w++ {
-			y0 := w * per
-			y1 := y0 + per
-			if y1 > rows {
-				y1 = rows
-			}
-			if y0 >= y1 {
-				continue
-			}
-			s.stripeErr[w] = nil
-			wg.Add(1)
-			// isL and txs are passed as arguments (not captured): a capture
-			// would force the variables to the heap on every call, including
-			// the sequential rounds that never spawn a goroutine.
-			go func(w, y0, y1 int, txs []int, isL []bool) {
-				defer wg.Done()
-				s.winPar[w], s.outwPar[w], s.d2qPar[w], s.stripeErr[w] = f.accumRows(y0, y1, txs, isL, s.winPar[w], s.outwPar[w], s.d2qPar[w])
-			}(w, y0, y1, txs, isL)
-		}
-		wg.Wait()
-		for w := 0; w < stripes; w++ {
-			if err := s.stripeErr[w]; err != nil {
-				stopErr = err
-				break
-			}
-		}
-	} else {
-		s.outSeq = true
-		s.win, s.outw, s.d2q, stopErr = f.accumRows(0, rows, txs, isL, s.win, s.outw, s.d2q)
 	}
 
 	if stopErr != nil {
@@ -125,9 +142,9 @@ func (f *SparseField) deliverAccum(txs []int, listeners []int, dst []Reception) 
 }
 
 // accumRows runs the cell-blocked accumulation over listener-cell rows
-// [y0, y1), writing each processed listener's outcome into the epoch-stamped
-// accSender array. win is the caller's reusable window-descriptor buffer
-// (per parallel stripe), returned for capacity reuse.
+// [y0, y1) with stripe st's scratch, writing each processed listener's
+// outcome into the epoch-stamped accSender array. A non-nil error means the
+// stop hook tripped; the stripe stops without panicking.
 //
 // Per cell block it runs a three-tier cascade shared by all member
 // listeners:
@@ -148,12 +165,14 @@ func (f *SparseField) deliverAccum(txs []int, listeners []int, dst []Reception) 
 //     the ceiling of inner gains, restUB and the cell's out-of-window bound.
 //  3. Full scan — the remaining few sum the whole window exactly through
 //     the shared descriptors and go through the decide chain (out-of-window
-//     bounds, exact out-of-window walk, dense-order fallback).
+//     bounds, exact out-of-window walk, dense-order fallback), which reads
+//     and fills the cell's cellTail.
 //
 // Tiers 1–2 decide only under the same certSlack margins the decide chain
 // uses, so every outcome equals exactCheck's.
-func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []winCell, d2q []float64) ([]winCell, []winCell, []float64, error) {
+func (f *SparseField) accumRows(st *gridStripe, y0, y1 int, txs []int, isL []bool) error {
 	s := f.scr
+	win, outw, d2q := st.win, st.outw, st.d2q
 	rangeQ2 := f.rangeQ2
 	grid := f.grid
 	nx, ny := grid.NX, grid.NY
@@ -174,7 +193,7 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 			// panicking (the caller aborts after Wait).
 			if f.stop != nil {
 				if err := f.stop(); err != nil {
-					return win, outw, d2q, err
+					return err
 				}
 			}
 			wxlo, wxhi, wylo, wyhi := f.window(c)
@@ -200,6 +219,7 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 			if ninner == 0 {
 				continue
 			}
+			tail := cellTail{c: c, out: st.out[:0]}
 			// One sweep of the outer window derives the shared rest bounds
 			// and records the outer descriptors. It is deferred until the
 			// first member survives the quick distance pass: cells whose
@@ -279,11 +299,11 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 				// cell²), and the total interference is upper-bounded
 				// without scanning the outer window — inner exactly, window
 				// members by the count-weighted nearHi sum, the rest by the
-				// cell's cached out-of-window hi. If the nearest clears β
+				// cell's out-of-window hi. If the nearest clears β
 				// times that ceiling, it decodes; the margin rule matches
 				// the decide chain's certain-yes exit.
 				if !dup && mind2 < cell2 {
-					hi, _ := f.cellTailBounds(int32(c))
+					hi, _ := f.bounds(&tail)
 					if certYes(gb, beta*(noise+nearQ+restUB+hi-gb)) {
 						s.accSender[u] = vq
 						s.accStamp[u] = epoch
@@ -309,13 +329,15 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 					}
 				}
 				sender := int32(-1)
-				if v, ok := f.decide(u, txs, &a); ok {
+				if v, ok := f.decide(u, txs, &a, &tail); ok {
 					sender = int32(v)
 				}
 				s.accSender[u] = sender
 				s.accStamp[u] = epoch
 			}
+			st.out = tail.out
 		}
 	}
-	return win, outw, d2q, nil
+	st.win, st.outw, st.d2q = win, outw, d2q
+	return nil
 }

@@ -137,8 +137,8 @@ func TestBoundaryFarRadiusFloorEquality(t *testing.T) {
 
 // TestCellTailBoundsSound checks the out-of-window bound pair against the
 // exact sum it bounds: after bucketing a round, every listener u of every
-// cell c with nodes must satisfy lo ≤ outTail(u) ≤ hi for (hi, lo) =
-// computeCellTail(c), up to a 1e-12 relative tolerance for summation
+// cell c with nodes must satisfy lo ≤ outTail(u, outCells(c)) ≤ hi for
+// (hi, lo) = computeCellTail(c), up to a 1e-12 relative tolerance for summation
 // order. Fields with cell sides of 1, 2 and 4 ranges (window spans 3, 2
 // and 1) are covered, a disk that packs several transmitters into a cell
 // and a square that spreads them. Besides random rounds of two sizes, each
@@ -178,11 +178,12 @@ func TestCellTailBoundsSound(t *testing.T) {
 						continue
 					}
 					hi, lo := f.computeCellTail(c)
+					out := f.outCells(c, nil)
 					if c == probe {
 						probeHi, probeLo = hi, lo
 					}
 					for _, u := range members {
-						exact := f.outTail(int(u))
+						exact := f.outTail(int(u), out)
 						if lo > exact*(1+tol) || exact > hi*(1+tol) {
 							t.Fatalf("k=%v %s |T|=%d cell %d listener %d: lo %v, exact %v, hi %v",
 								k, name, len(txs), c, u, lo, exact, hi)

@@ -3,7 +3,7 @@ package sinr
 import (
 	"math"
 	"runtime"
-	"sync/atomic"
+	"sync"
 
 	"dcluster/internal/geom"
 )
@@ -57,15 +57,17 @@ func certYes(x, need float64) bool { return x >= need && x-need > certSlack*need
 //     round's per-cell counts weights each Chebyshev ring of cells by its
 //     closest and farthest gain (computeCellTail), and when that pair cannot
 //     decide, the out-of-window transmitters are summed exactly too
-//     (outTail).
+//     (outTail). The pair and the cells that walk reads are computed at most
+//     once per listener cell and round, while the sweep visits the cell.
 //
 // Either way a reception is granted or denied on the fast sums only when
 // the decision clears the threshold by the certSlack margin (under the
 // worst-case out-of-window bound on the grid path); anything closer falls
 // back to the exact dense-order scan. Decisions therefore always match the
-// dense engine. The grid path spreads its cell rows over GOMAXPROCS
-// goroutines on fields of at least parallelCutoff nodes; parallelism across
-// rounds comes from sessions (see Session).
+// dense engine. The grid path sweeps its cell rows in one stripe, or on
+// fields of at least parallelCutoff nodes in up to GOMAXPROCS stripes, the
+// first on the caller's goroutine; parallelism across rounds comes from
+// sessions (see Session).
 //
 // Both paths read the field's geom.GridIndex, the one grid type of both
 // engines and the geometry queries.
@@ -137,7 +139,6 @@ type sparseScratch struct {
 	cellTx    []int32
 	dirty     []int32 // nonempty cell ids of the current round (for reset)
 	isTx      []bool
-	stripeErr []error // per-stripe stop errors (grid path)
 
 	// sat is the round's summed-area table of per-cell transmitter counts:
 	// sat[y·(NX+1)+x] counts the transmitters in cells [0,x)×[0,y), so any
@@ -148,38 +149,18 @@ type sparseScratch struct {
 	// gathered listener buffer).
 	cand *candScratch
 
-	// Grid-path state (see accum.go): per-listener round outcomes
-	// behind an epoch stamp, the reusable window-descriptor buffers (one per
-	// parallel stripe), and the listener-restriction bitmap.
+	// Grid-path state (see accum.go): per-listener round outcomes behind
+	// an epoch stamp, the listener-restriction bitmap, one scratch per
+	// stripe of listener-cell rows (stripe 0 is the caller's; a one-stripe
+	// round uses nothing else), and the join of stripes 1.. . Out-of-window
+	// bounds are not kept here: they are state of the listener cell a stripe
+	// is visiting (cellTail).
 	accSender []int32
 	accStamp  []int64
-	win       []winCell
-	winPar    [][]winCell
-	outw      []winCell
-	outwPar   [][]winCell
-	d2q       []float64
-	d2qPar    [][]float64
+	epoch     int64
 	isL       []bool
-
-	// Per-listener-cell bounds on the interference from the transmitters
-	// outside the cell's ±span window, computed lazily during a round and
-	// cached behind an epoch stamp. Accessed with atomics: concurrent
-	// workers may recompute a cell's bounds redundantly, but the computation
-	// is deterministic, so every store writes identical bits.
-	cellTail   []uint64 // math.Float64bits of the upper bound
-	cellTailLo []uint64 // math.Float64bits of the lower bound
-	tailStamp  []int64
-	epoch      int64
-
-	// Out-of-window dirty-cell list, cached per (window box, round) for the
-	// exact residual walk: listeners of the same cell share the box, and the
-	// decide chain visits them back to back on the grid path. Only
-	// maintained on sequential rounds (outSeq) — concurrent workers would
-	// race on it, and the plain walk is used instead.
-	outSeq   bool
-	outCells []int32
-	outBox   [4]int32
-	outStamp int64
+	stripes   []gridStripe
+	wg        sync.WaitGroup
 }
 
 // NewSparseField builds a sparse engine over the given positions. Its grid
@@ -218,20 +199,19 @@ func (f *SparseField) newScratch() *sparseScratch {
 	side := 2*f.span + 1
 	cells := f.grid.NX * f.grid.NY
 	return &sparseScratch{
-		cellStart:  make([]int32, cells),
-		cellEnd:    make([]int32, cells),
-		isTx:       make([]bool, f.n),
-		sat:        make([]int32, (f.grid.NX+1)*(f.grid.NY+1)),
-		cand:       newCandScratch(f.grid),
-		cellTail:   make([]uint64, cells),
-		cellTailLo: make([]uint64, cells),
-		tailStamp:  make([]int64, cells),
-		accSender:  make([]int32, f.n),
-		accStamp:   make([]int64, f.n),
-		win:        make([]winCell, 0, side*side),
-		outw:       make([]winCell, 0, side*side),
-		d2q:        make([]float64, 0, 64),
-		isL:        make([]bool, f.n),
+		cellStart: make([]int32, cells),
+		cellEnd:   make([]int32, cells),
+		isTx:      make([]bool, f.n),
+		sat:       make([]int32, (f.grid.NX+1)*(f.grid.NY+1)),
+		cand:      newCandScratch(f.grid),
+		accSender: make([]int32, f.n),
+		accStamp:  make([]int64, f.n),
+		isL:       make([]bool, f.n),
+		stripes: []gridStripe{{
+			win:  make([]winCell, 0, side*side),
+			outw: make([]winCell, 0, side*side),
+			d2q:  make([]float64, 0, 64),
+		}},
 	}
 }
 
@@ -436,17 +416,18 @@ type scanAcc struct {
 }
 
 // decide applies the SINR decision chain to one listener's exact window sums:
-// the zero-tail certain-no, the cell's cached out-of-window bound pair
-// (certain-no on lo, then certain-yes on hi; fetched lazily — most listeners
-// exit before needing it), the exact out-of-window walk, and — only within
-// certSlack of the threshold or on an exact gain tie — the dense-order exact
-// fallback. A transmitter outside the window is farther than
-// windowReach·Range, so its gain is below β·noise and can neither be the
-// sender nor tie the best. Window gains may differ from the dense
-// precompute by ULPs (squared-distance arithmetic instead of Hypot);
-// certSlack keeps such noise from ever deciding a reception, and the exact
-// fallback recomputes dense-identically.
-func (f *SparseField) decide(u int, txs []int, a *scanAcc) (int, bool) {
+// the zero-tail certain-no, its cell's out-of-window bound pair (certain-no
+// on lo, then certain-yes on hi), the exact walk over the cell's
+// out-of-window cells, and — only within certSlack of the threshold or on an
+// exact gain tie — the dense-order exact fallback. The pair and the cell
+// list come from the cell's tail state t, filled on first use.
+// A transmitter outside the window is farther than windowReach·Range, so
+// its gain is below β·noise and can neither be the sender nor tie the best.
+// Window gains may differ from the dense precompute by ULPs
+// (squared-distance arithmetic instead of Hypot); certSlack keeps such noise
+// from ever deciding a reception, and the exact fallback recomputes
+// dense-identically.
+func (f *SparseField) decide(u int, txs []int, a *scanAcc, t *cellTail) (int, bool) {
 	if a.bestV < 0 {
 		return -1, false
 	}
@@ -460,14 +441,17 @@ func (f *SparseField) decide(u int, txs []int, a *scanAcc) (int, bool) {
 	if certNo(best, beta*(noise+a.nearTotal-best)) {
 		return -1, false
 	}
-	hi, lo := f.cellTailBounds(f.grid.CellOf[u])
+	hi, lo := f.bounds(t)
 	if certNo(best, beta*(noise+a.nearTotal+lo-best)) {
 		return -1, false
 	}
 	if !a.tied && certYes(best, beta*(noise+a.nearTotal+hi-best)) {
 		return a.bestV, true
 	}
-	return f.settle(u, txs, best, a.nearTotal+f.outTail(u), a.bestV, a.tied)
+	if !t.listed {
+		t.out, t.listed = f.outCells(t.c, t.out), true
+	}
+	return f.settle(u, txs, best, a.nearTotal+f.outTail(u, t.out), a.bestV, a.tied)
 }
 
 // settle decides listener u from an exact (up to rounding) interference
@@ -491,66 +475,32 @@ func (f *SparseField) window(c int) (xlo, xhi, ylo, yhi int) {
 	return max(cx-f.span, 0), min(cx+f.span, nx-1), max(cy-f.span, 0), min(cy+f.span, ny-1)
 }
 
-// outTail returns the exact aggregate gain at listener u (never a
-// transmitter on the grid path) from all bucketed transmitters outside its
-// cell's ±span window — one pass over the dirty cells, skipping the window
-// (whose members the scan already summed). Listeners of the same cell share
-// the window box, so on sequential rounds the out-of-window cell list is
-// derived once per (box, round) and reused; the gain sum itself is per
-// listener either way, and its cell order matches the dirty order exactly,
-// so the cached walk is bit-identical to the plain one.
-func (f *SparseField) outTail(u int) float64 {
-	s := f.scr
-	p := f.pos[u]
-	wxlo, wxhi, wylo, wyhi := f.window(int(f.grid.CellOf[u]))
+// outCells appends to dst the round's dirty cells outside listener cell c's
+// ±span window, in dirty order.
+func (f *SparseField) outCells(c int, dst []int32) []int32 {
+	xlo, xhi, ylo, yhi := f.window(c)
 	nx := f.grid.NX
-	outside := func(c int) bool {
-		cx, cy := c%nx, c/nx
-		return cx < wxlo || cx > wxhi || cy < wylo || cy > wyhi
-	}
-	cells := s.dirty
-	if s.outSeq {
-		box := [4]int32{int32(wxlo), int32(wxhi), int32(wylo), int32(wyhi)}
-		if s.outStamp != s.epoch || s.outBox != box {
-			s.outCells = s.outCells[:0]
-			for _, ci := range s.dirty {
-				if outside(int(ci)) {
-					s.outCells = append(s.outCells, ci)
-				}
-			}
-			s.outBox, s.outStamp = box, s.epoch
+	for _, ci := range f.scr.dirty {
+		if x, y := int(ci)%nx, int(ci)/nx; x < xlo || x > xhi || y < ylo || y > yhi {
+			dst = append(dst, ci)
 		}
-		cells = s.outCells
 	}
+	return dst
+}
+
+// outTail returns the exact aggregate gain at listener u (never a
+// transmitter on the grid path) from the bucketed transmitters of the cells
+// out, the dirty cells outside u's window (outCells), whose members the
+// window scan did not sum.
+func (f *SparseField) outTail(u int, out []int32) float64 {
+	s, p := f.scr, f.pos[u]
 	var tail float64
-	for _, ci := range cells {
-		c := int(ci)
-		if !s.outSeq && !outside(c) {
-			continue
-		}
+	for _, c := range out {
 		for k := s.cellStart[c]; k < s.cellEnd[c]; k++ {
 			tail += gainFromDist2(f.params, geom.Dist2(f.pos[s.cellTx[k]], p))
 		}
 	}
 	return tail
-}
-
-// cellTailBounds returns the bounds on the interference from outside the
-// ±span window of listener cell c for the current round, computing and
-// caching them on first use. Safe for concurrent workers: a cell may be
-// computed redundantly, but the value is deterministic, and the epoch stamp
-// is only published after the bits.
-func (f *SparseField) cellTailBounds(c int32) (hi, lo float64) {
-	s := f.scr
-	if atomic.LoadInt64(&s.tailStamp[c]) == s.epoch {
-		return math.Float64frombits(atomic.LoadUint64(&s.cellTail[c])),
-			math.Float64frombits(atomic.LoadUint64(&s.cellTailLo[c]))
-	}
-	hi, lo = f.computeCellTail(int(c))
-	atomic.StoreUint64(&s.cellTail[c], math.Float64bits(hi))
-	atomic.StoreUint64(&s.cellTailLo[c], math.Float64bits(lo))
-	atomic.StoreInt64(&s.tailStamp[c], s.epoch)
-	return hi, lo
 }
 
 // boxCount returns the round's transmitter count in the cells at Chebyshev
