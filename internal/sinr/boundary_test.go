@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dcluster/internal/geom"
@@ -240,10 +241,16 @@ func windowNodes(f *SparseField, c int) []int {
 
 // TestSmallCheckMatchesExact pins the certified small-round scan to its
 // knife-edge oracle: for every listener, smallCheck must return exactly what
-// exactCheck returns. Lattices put distances exactly on the range and make
+// exactCheck returns, and nearestPair must return what sorting the squared
+// distances gives. Lattices put distances exactly on the range and make
 // gains tie exactly; the two-sender geometry has SINR == β exactly, which no
-// certSlack margin can certify; uniform disks cover the ordinary mix at the
-// transmitter counts the direct path serves.
+// certSlack margin can certify (with a second transmitter it is also the
+// nearest-pair exit's equality edge); uniform disks cover the ordinary mix at
+// the transmitter counts the direct path serves. Probes pin the nearest-pair
+// exit on chosen listeners: it fires on two equidistant nearest
+// transmitters, and it does not fire when β·(N + g₂) lies within 1e-10
+// relative of g₁, on either side; a single transmitter has no second, and a
+// listener inside txs is at distance zero, which goes to exactCheck.
 func TestSmallCheckMatchesExact(t *testing.T) {
 	// Sender at distance 1 (gain 8), interferer at distance 2 (gain 1):
 	// 8 / (3 + 1) == β exactly, in Hypot and in squared-distance arithmetic.
@@ -251,12 +258,23 @@ func TestSmallCheckMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	lat := latticePts(9)
 	centre := 4*9 + 4
+	// probe pins the nearest pair of listener u in round txs[set]: whether
+	// the exit fires, whether d1 == d2 (an exact tie), whether d2 is +Inf (no
+	// second transmitter) and whether d1 is zero (u is in txs).
+	type probe struct {
+		u, set                  int
+		exit, tie, single, zero bool
+	}
 	type smallCase struct {
 		name   string
 		params Params
 		pts    []geom.Point
 		txs    [][]int
+		probes []probe
 	}
+	// Interferer distances that put β·(N + g₂) 7.5e-11 relative below and
+	// above g₁ = 8 under edge: g₂ = 8/d³ with d = 2(1 ± 1e-10).
+	below, above := 2*(1+1e-10), 2*(1-1e-10)
 	cases := []smallCase{
 		{"lattice", DefaultParams(), lat, [][]int{
 			{centre},                    // solo: the 4 lattice neighbours sit at SINR == β
@@ -264,9 +282,37 @@ func TestSmallCheckMatchesExact(t *testing.T) {
 			{centre - 9, centre + 9, 0}, // tie plus a far interferer
 			{centre - 10, centre - 8, centre + 8, centre + 10}, // diagonal four-way tie
 			pickDistinct(rng, len(lat), smallTxCutoff),
+		}, []probe{
+			{u: centre + 1, set: 0, single: true},
+			{u: centre, set: 1, exit: true, tie: true},
+			{u: centre, set: 2, exit: true, tie: true},
+			{u: centre, set: 0, single: true, zero: true},
 		}},
 		{"sinr-equals-beta", edge, []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(-2, 0)}, [][]int{
 			{1, 2}, {2, 1}, {1},
+		}, []probe{
+			// {2, 1}: the scan passes the interferer before the ball, so
+			// the pair has no second and the full sum decides.
+			{u: 0, set: 0}, {u: 0, set: 1, single: true}, {u: 0, set: 2, single: true},
+			{u: 1, set: 0, zero: true},
+		}},
+		// Two transmitters at d² = 0.25 exactly (gain 16 each) and one far:
+		// the pair alone needs β·(1 + 16) = 34 > 16, so the exit fires.
+		{"equidistant-nearest", DefaultParams(), []geom.Point{
+			geom.Pt(0, 0), geom.Pt(0.5, 0), geom.Pt(0, -0.5), geom.Pt(3, 0),
+		}, [][]int{{1, 2}, {3, 1, 2}, {1, 3}, {1}}, []probe{
+			{u: 0, set: 0, exit: true, tie: true},
+			{u: 0, set: 1, exit: true, tie: true},
+			{u: 0, set: 3, single: true},
+			{u: 2, set: 1, zero: true},
+		}},
+		// The nearest pair within 1e-10 relative of the threshold: too close
+		// for the exit, so the full sum and exactCheck decide (yes below, no
+		// above).
+		{"pair-knife-edge", edge, []geom.Point{
+			geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(-below, 0), geom.Pt(0, above),
+		}, [][]int{{1, 2}, {1, 3}, {3, 2, 1}}, []probe{
+			{u: 0, set: 0}, {u: 0, set: 1},
 		}},
 	}
 	for _, k := range []int{1, 2, smallTxCutoff} {
@@ -275,7 +321,7 @@ func TestSmallCheckMatchesExact(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			sets = append(sets, pickDistinct(rng, len(pts), k))
 		}
-		cases = append(cases, smallCase{fmt.Sprintf("disk/txs=%d", k), DefaultParams(), pts, sets})
+		cases = append(cases, smallCase{name: fmt.Sprintf("disk/txs=%d", k), params: DefaultParams(), pts: pts, txs: sets})
 	}
 	for _, c := range cases {
 		f, err := NewSparseField(c.params, c.pts)
@@ -294,11 +340,66 @@ func TestSmallCheckMatchesExact(t *testing.T) {
 				if wok {
 					yes++
 				}
+				checkNearestPair(t, c.name, f, u, txs)
 			}
 		}
 		if yes == 0 {
 			t.Errorf("%s: no listener receives; the case exercises only denials", c.name)
 		}
+		p := c.params
+		for _, pr := range c.probes {
+			txs := c.txs[pr.set]
+			d1, d2, _, ok := nearestPair(f.pos, txs, f.pos[pr.u], f.rangeQ2)
+			if !ok {
+				t.Fatalf("%s: probe %+v: no transmitter in the candidate ball", c.name, pr)
+			}
+			best, g2 := gainFromDist2(p, d1), gainFromDist2(p, d2)
+			need := p.Beta * (p.Noise + g2)
+			if exit := !pr.zero && certNo(best, need); exit != pr.exit {
+				t.Errorf("%s: probe %+v: exit %v (g1 %v, need %v)", c.name, pr, exit, best, need)
+			}
+			if (d1 == d2) != pr.tie || math.IsInf(d2, 1) != pr.single || (d1 == 0) != pr.zero {
+				t.Errorf("%s: probe %+v: d1 %v, d2 %v", c.name, pr, d1, d2)
+			}
+			if c.name == "pair-knife-edge" && math.Abs(need/best-1) > 1e-10 {
+				t.Errorf("%s: probe %+v: requirement %v is not within 1e-10 of g1 %v", c.name, pr, need, best)
+			}
+		}
+	}
+}
+
+// checkNearestPair checks nearestPair(u, txs) against sorted squared
+// distances: ok iff some transmitter lies in the candidate ball; then d1 is
+// the smallest distance, i1 the first transmitter at it, and d2 the next
+// distance, with multiplicity, among the transmitters from the first one in
+// the ball on.
+func checkNearestPair(t *testing.T, name string, f *SparseField, u int, txs []int) {
+	t.Helper()
+	p := f.pos[u]
+	d1, d2, i1, ok := nearestPair(f.pos, txs, p, f.rangeQ2)
+	j := 0
+	for j < len(txs) && geom.Dist2(f.pos[txs[j]], p) > f.rangeQ2 {
+		j++
+	}
+	if ok != (j < len(txs)) {
+		t.Fatalf("%s: txs %v listener %d: ok %v, first in the ball at %d", name, txs, u, ok, j)
+	}
+	if !ok {
+		return
+	}
+	rest := []float64{math.Inf(1)}
+	first := -1
+	for k, v := range txs[j:] {
+		d := geom.Dist2(f.pos[v], p)
+		rest = append(rest, d)
+		if first < 0 || d < geom.Dist2(f.pos[txs[first]], p) {
+			first = j + k
+		}
+	}
+	sort.Float64s(rest)
+	if d1 != rest[0] || d2 != rest[1] || i1 != first {
+		t.Fatalf("%s: txs %v listener %d: nearestPair (%v, %v, %d), want (%v, %v, %d)",
+			name, txs, u, d1, d2, i1, rest[0], rest[1], first)
 	}
 }
 

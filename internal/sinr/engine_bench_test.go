@@ -62,7 +62,10 @@ func BenchmarkDeliver(b *testing.B) {
 // accumulation / grid sweep. These numbers, together with BenchmarkDeliver,
 // locate the dense↔sparse crossover that SparseAutoThreshold encodes. The
 // sparse-only rows at |txs| ∈ {24, 32, 48, 64} straddle smallTxCutoff, the
-// switch from the direct scan to the grid sweep.
+// switch from the direct scan to the grid sweep. The listeners=1of8 rows at
+// n=4096 and |txs| ∈ {16, 48} restrict the round to every 8th node, the
+// shape of an addressed pass (a proximity confirmation or a choose pass
+// listens only at its addressees).
 func BenchmarkDeliverTx(b *testing.B) {
 	for _, n := range []int{1024, 4096, 16384} {
 		pts, _ := benchDeployment(n)
@@ -89,18 +92,28 @@ func BenchmarkDeliverTx(b *testing.B) {
 					_ = dst
 				})
 			}
-			b.Run(fmt.Sprintf("sparse/n=%d/txs=%d", n, k), func(b *testing.B) {
-				f, err := NewSparseField(DefaultParams(), pts)
-				if err != nil {
-					b.Fatal(err)
+			sparseRow := func(name string, listeners []int) {
+				b.Run(name, func(b *testing.B) {
+					f, err := NewSparseField(DefaultParams(), pts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					var dst []Reception
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						dst = f.Deliver(txs, listeners, dst[:0])
+					}
+					_ = dst
+				})
+			}
+			sparseRow(fmt.Sprintf("sparse/n=%d/txs=%d", n, k), nil)
+			if n == 4096 && (k == 16 || k == 48) {
+				var every8 []int
+				for v := 0; v < n; v += 8 {
+					every8 = append(every8, v)
 				}
-				var dst []Reception
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					dst = f.Deliver(txs, nil, dst[:0])
-				}
-				_ = dst
-			})
+				sparseRow(fmt.Sprintf("sparse/n=%d/txs=%d/listeners=1of8", n, k), every8)
+			}
 		}
 	}
 }

@@ -19,21 +19,33 @@ import (
 // deliver the identical reception sequence. The committed seed corpus
 // doubles as a regression suite: the seeds replay on every plain `go test`
 // run, including CI's race tier (seed-12 is a 250-node small round: 20
-// transmitters).
+// transmitters). With lattice set, the nodes fill a square integer lattice
+// row by row at spacing (1 + seed%4)/4 instead of a disk: every squared
+// distance is exact, so listeners see exactly equidistant nearest
+// transmitters (seed-13 to seed-15 are small rounds of that kind).
 func FuzzDeliverPathEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint16(64), uint8(30), false, uint8(0))
-	f.Add(uint64(42), uint16(200), uint8(255), false, uint8(0)) // full shout-down
-	f.Add(uint64(7), uint16(128), uint8(64), true, uint8(1))    // span-1 coarse cells + listener subset
-	f.Add(uint64(99), uint16(250), uint8(16), false, uint8(2))  // dense deployment, mid fraction
-	f.Add(uint64(3), uint16(40), uint8(4), true, uint8(0))      // sparse round, span-2 coarse cells
-	f.Add(uint64(1234), uint16(180), uint8(128), false, uint8(3))
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, frac uint8, coarse bool, lsel uint8) {
+	f.Add(uint64(1), uint16(64), uint8(30), false, uint8(0), false)
+	f.Add(uint64(42), uint16(200), uint8(255), false, uint8(0), false) // full shout-down
+	f.Add(uint64(7), uint16(128), uint8(64), true, uint8(1), false)    // span-1 coarse cells + listener subset
+	f.Add(uint64(99), uint16(250), uint8(16), false, uint8(2), false)  // dense deployment, mid fraction
+	f.Add(uint64(3), uint16(40), uint8(4), true, uint8(0), false)      // sparse round, span-2 coarse cells
+	f.Add(uint64(1234), uint16(180), uint8(128), false, uint8(3), false)
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, frac uint8, coarse bool, lsel uint8, lattice bool) {
 		n := 16 + int(nRaw)%240 // 16..255: large enough to cross smallTxCutoff, cheap enough to fuzz
-		r := math.Sqrt(float64(n) / 8)
-		if r < 2 {
-			r = 2
+		var pts []geom.Point
+		if lattice {
+			side := int(math.Ceil(math.Sqrt(float64(n))))
+			step := float64(1+seed%4) / 4
+			for v := 0; v < n; v++ {
+				pts = append(pts, geom.Pt(step*float64(v%side), step*float64(v/side)))
+			}
+		} else {
+			r := math.Sqrt(float64(n) / 8)
+			if r < 2 {
+				r = 2
+			}
+			pts = geom.UniformDisk(n, r, int64(seed))
 		}
-		pts := geom.UniformDisk(n, r, int64(seed))
 		params := DefaultParams()
 		if coarse {
 			k := 2.0

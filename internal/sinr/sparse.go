@@ -11,13 +11,21 @@ import (
 // smallTxCutoff: transmitter sets at or below this size are decided by a
 // direct scan of the whole set (smallCheck, certified in the squared-distance
 // domain) after transmitter-centric listener pruning; larger sets take the
-// grid sweep (deliverAccum). Measured against that sweep (BenchmarkDeliverTx
-// sparse rows, each |txs| forced through both paths, min of 7 interleaved
-// runs, 2 vCPUs), direct vs grid in ms: n=4096: 0.21/0.17 at 24, 0.39/0.24
-// at 32, 0.76/0.38 at 48, 1.03/0.45 at 64; n=16384: 0.34/0.30 at 24,
-// 0.58/0.42 at 32, 1.17/0.58 at 48, 1.69/0.75 at 64. On these all-listener
-// rounds the sweep wins from 24 up; the value stays until a run-level
-// measurement, which includes restricted listener sets, moves it.
+// grid sweep (deliverAccum). On all-listener rounds the sweep is the faster
+// path from 24 transmitters up (BenchmarkDeliverTx sparse rows, each |txs|
+// forced through both paths, min of 7 interleaved runs, 2 vCPUs, direct vs
+// grid in ms at n=4096: 0.21/0.17 at 24, 0.76/0.38 at 48, 1.03/0.45 at 64),
+// but protocol rounds mostly listen at few nodes. At run level
+// (cluster-disk-512-sparse, seed 2, interleaved `bench -workload` runs at
+// -seconds 5, 2 vCPUs, run_s medians), with the two-nearest direct scan:
+// 64 read 0.317 against 0.316 s at 48 (5 pairs); 96 read 0.299 against
+// 0.314 s (−4.9%, 7 of 8 pairs, one tie) and `dclust -algo cluster -n 2000
+// -engine sparse` 3.49–3.75 against 3.56–3.99 s wall (3 pairs, identical
+// result lines). 96 is not taken: a 64-transmitter all-listener round then
+// takes the direct scan at 0.76 against 0.42 ms (n=4096; 1.14 against 0.64
+// ms at n=16384, min of 5), which the CI gate's BenchmarkDeliverTx txs=64
+// rows would flag. Before the two-nearest scan, 24 read +3–11% and 32
+// +0–11% run_s against 48.
 const smallTxCutoff = 48
 
 // parallelCutoff is the minimum number of nodes before the accumulating
@@ -48,7 +56,10 @@ func certYes(x, need float64) bool { return x >= need && x-need > certSlack*need
 //
 //   - rounds of at most smallTxCutoff transmitters prune the listeners
 //     around the transmitters' cells and scan the transmitter slice
-//     directly per listener in the squared-distance domain (smallCheck);
+//     directly per listener in the squared-distance domain (smallCheck):
+//     one distance pass finds the two nearest transmitters, whose gains
+//     alone certify most "no"s, and only the remaining listeners sum every
+//     gain;
 //   - every larger round buckets the transmitters into the cells of the
 //     field's spatial grid and sweeps the listener cells (deliverAccum,
 //     accum.go): each cell derives its ±span window once, its listeners sum
@@ -106,10 +117,11 @@ type SparseField struct {
 	ringHi []float64
 	ringLo []float64
 
-	// rangeQ2 is the squared-distance cutoff of the quick certain-no scan:
-	// any transmitter whose gain could reach the β·noise reception floor
-	// (within the certSlack margin) lies within it, so a scan confined to
-	// d² ≤ rangeQ2 finds every possible sender candidate exactly.
+	// rangeQ2 is the squared-distance cutoff of the candidate ball: any
+	// transmitter whose gain could reach the β·noise reception floor (within
+	// the certSlack margin) lies within it, so a scan confined to
+	// d² ≤ rangeQ2 finds every possible sender candidate exactly. The grid
+	// sweep's quick pass and the direct scan's nearestPair both skip by it.
 	rangeQ2 float64
 
 	workers int
@@ -537,8 +549,11 @@ func (f *SparseField) computeCellTail(c int) (hi, lo float64) {
 }
 
 // gainFromDist2 is the received-power formula on a squared distance — the
-// hot-path variant that skips Hypot. Equal to gainAt(p, √d2) up to ULPs.
-// Exponents other than the α=3 default take the slow path.
+// hot-path variant that skips Hypot. Equal to gainAt(p, √d2) up to ULPs, and
+// monotone non-increasing in d2 at α=3 and α=4: sqrt, products and the
+// quotient are correctly rounded, so they never reverse an order. Other
+// exponents take a helper kept out of line, so that this function stays
+// small enough for the compiler to inline into the scans.
 func gainFromDist2(p Params, d2 float64) float64 {
 	if p.Alpha == 3 {
 		return p.Power / (d2 * math.Sqrt(d2))
@@ -546,6 +561,7 @@ func gainFromDist2(p Params, d2 float64) float64 {
 	return gainFromDist2Slow(p, d2)
 }
 
+//go:noinline
 func gainFromDist2Slow(p Params, d2 float64) float64 {
 	if p.Alpha == 4 {
 		return p.Power / (d2 * d2)
@@ -554,43 +570,83 @@ func gainFromDist2Slow(p Params, d2 float64) float64 {
 }
 
 // smallCheck is the direct scan of small rounds, certified in the
-// squared-distance domain. A distance-only pass first rules out listeners
-// with no transmitter inside the candidate ball (d² ≤ rangeQ2). Otherwise
-// the gains come from gainFromDist2 (no Hypot), summed in txs order, and
-// the decision is taken only when it clears β·(N + total − best) by the
-// certSlack margin; a knife edge or an exact gain tie goes to exactCheck.
-// The result is always exactCheck's.
+// squared-distance domain, in three steps:
+//
+//  1. One distance scan (nearestPair) visits each transmitter once. It finds
+//     the first transmitter inside the candidate ball (d² ≤ rangeQ2); with
+//     none, every gain is below βN(1−certSlack), hence below βN even after
+//     rounding, and u hears nothing. From that transmitter on, it keeps the
+//     nearest and second-nearest squared distances d1 ≤ d2 and the nearest
+//     transmitter, without a data-dependent branch. A d1 of zero (u itself,
+//     or a transmitter at u's position) goes to exactCheck, which decides it
+//     as the dense engine's Inf−Inf NaN does.
+//  2. The nearest-pair exit. The gain is monotone in d² (up to ULPs at an
+//     α other than 3 or 4, which certSlack covers), and the transmitters
+//     the scan passed before the ball lie beyond it, so g(d1) is the
+//     strongest signal and the interference is at least g(d2). Since β > 1,
+//     u hears nothing when g(d1) misses β·(N + g(d2)), whatever else
+//     transmits; certNo takes that "no" before any other gain is computed.
+//  3. Otherwise one pass without a branch sums every gain in txs order, and
+//     settle decides with best = g(d1), the nearest transmitter as sender
+//     and a tie when g(d2) == g(d1).
+//
+// The result is always exactCheck's. Gains here differ from the dense
+// engine's Hypot gains by ULPs, which the certSlack margin of certNo and
+// certYes absorbs. The nearest transmitter can differ from the dense
+// engine's strict-max sender only on an exact gain tie, and settle never
+// certifies a "yes" on a tie: it hands the listener to exactCheck. A
+// transmitter the scan passed before the ball cannot tie either: its gain is
+// below βN(1−certSlack), and a certified "yes" needs g(d1) above βN.
 func (f *SparseField) smallCheck(u int, txs []int) (int, bool) {
-	pos, params, rangeQ2 := f.pos, f.params, f.rangeQ2
+	pos, params := f.pos, f.params
 	p := pos[u]
-	inBall := false
-	for _, v := range txs {
-		if v != u && geom.Dist2(pos[v], p) <= rangeQ2 {
-			inBall = true
-			break
-		}
-	}
-	if !inBall {
-		// Every gain is below βN(1−certSlack), hence below βN even after
-		// rounding, and the interference can only raise the requirement.
+	d1, d2, i1, ok := nearestPair(pos, txs, p, f.rangeQ2)
+	if !ok {
 		return -1, false
 	}
-	var total, best float64
-	bestV, tied := -1, false
+	if d1 == 0 {
+		return f.exactCheck(u, txs)
+	}
+	best, g2 := gainFromDist2(params, d1), gainFromDist2(params, d2)
+	if certNo(best, params.Beta*(params.Noise+g2)) {
+		return -1, false
+	}
+	var total float64
 	for _, v := range txs {
-		if v == u {
-			continue
-		}
-		g := gainFromDist2(params, geom.Dist2(pos[v], p))
-		total += g
-		switch {
-		case g > best:
-			best, bestV, tied = g, v, false
-		case g == best:
-			tied = true
+		total += gainFromDist2(params, geom.Dist2(pos[v], p))
+	}
+	return f.settle(u, txs, best, total, txs[i1], g2 == best)
+}
+
+// nearestPair scans the transmitters txs from position p. It skips the
+// leading transmitters beyond the candidate ball (d² > rangeQ2); ok is false
+// when all of them are. From the first transmitter inside the ball on, it
+// returns the smallest and second-smallest squared distance d1 ≤ d2, counted
+// with multiplicity (two transmitters at the same distance give d1 == d2;
+// d2 is +Inf without a second), and the index in txs of the first
+// transmitter at d1. That loop compares math.Float64bits, whose integer
+// order is the value order for d² ≥ 0, so the minima and the index compile
+// to conditional moves. The skipped transmitters are never the nearest, but
+// one may be nearer than d2.
+func nearestPair(pos []geom.Point, txs []int, p geom.Point, rangeQ2 float64) (d1, d2 float64, i1 int, ok bool) {
+	j := 0
+	for j < len(txs) && geom.Dist2(pos[txs[j]], p) > rangeQ2 {
+		j++
+	}
+	if j == len(txs) {
+		return 0, 0, 0, false
+	}
+	m1, m2 := math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(1))
+	for k := j; k < len(txs); k++ {
+		b := math.Float64bits(geom.Dist2(pos[txs[k]], p))
+		nearer := b < m1
+		m2 = min(m2, max(b, m1))
+		m1 = min(m1, b)
+		if nearer {
+			i1 = k
 		}
 	}
-	return f.settle(u, txs, best, total, bestV, tied)
+	return math.Float64frombits(m1), math.Float64frombits(m2), i1, true
 }
 
 // exactCheck is the knife-edge oracle: it replicates the dense engine's
