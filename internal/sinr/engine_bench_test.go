@@ -65,8 +65,36 @@ func BenchmarkDeliver(b *testing.B) {
 // switch from the direct scan to the grid sweep. The listeners=1of8 rows at
 // n=4096 and |txs| ∈ {16, 48} restrict the round to every 8th node, the
 // shape of an addressed pass (a proximity confirmation or a choose pass
-// listens only at its addressees).
+// listens only at its addressees). The dense-only rows at n=256 and
+// |txs| ∈ {4, 8, 32} are the regime of small dense clustering runs, whose
+// Deliver calls average about 6 transmitters: all-listener rounds of that
+// size take the transposed sweep's four-row blocks and leftover rows.
 func BenchmarkDeliverTx(b *testing.B) {
+	denseRow := func(pts []geom.Point, txs []int) {
+		b.Run(fmt.Sprintf("dense/n=%d/txs=%d", len(pts), len(txs)), func(b *testing.B) {
+			f, err := NewField(DefaultParams(), pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var dst []Reception
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = f.Deliver(txs, nil, dst[:0])
+			}
+			_ = dst
+		})
+	}
+	spread := func(n, k int) []int {
+		txs := make([]int, k)
+		for i := range txs {
+			txs[i] = (i * 7919) % n
+		}
+		return txs
+	}
+	pts256, _ := benchDeployment(256)
+	for _, k := range []int{4, 8, 32} {
+		denseRow(pts256, spread(256, k))
+	}
 	for _, n := range []int{1024, 4096, 16384} {
 		pts, _ := benchDeployment(n)
 		ks := []int{1, 16, n / 8}
@@ -74,23 +102,9 @@ func BenchmarkDeliverTx(b *testing.B) {
 			ks = []int{1, 16, 24, 32, 48, 64, n / 8}
 		}
 		for _, k := range ks {
-			txs := make([]int, k)
-			for i := range txs {
-				txs[i] = (i * 7919) % n
-			}
+			txs := spread(n, k)
 			if n <= 4096 && (k <= 16 || k == n/8) {
-				b.Run(fmt.Sprintf("dense/n=%d/txs=%d", n, k), func(b *testing.B) {
-					f, err := NewField(DefaultParams(), pts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var dst []Reception
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						dst = f.Deliver(txs, nil, dst[:0])
-					}
-					_ = dst
-				})
+				denseRow(pts, txs)
 			}
 			sparseRow := func(name string, listeners []int) {
 				b.Run(name, func(b *testing.B) {

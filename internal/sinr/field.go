@@ -28,6 +28,14 @@ func pow(x, a float64) float64 { return math.Pow(x, a) }
 // sets. Field is also the only engine accepting an explicit distance matrix
 // (NewFieldFromDistances), which the lower-bound gadgets require to avoid
 // floating-point absorption of the geometrically shrinking node gaps.
+//
+// Both Deliver cores (decide and deliverTransposed) find the strongest
+// signal by comparing the gains' IEEE-754 bit patterns as unsigned integers,
+// which compiles to conditional moves instead of a branch that mispredicts
+// whenever the running maximum changes. For floats that are ≥ 0 and not NaN,
+// +Inf included, that order is the value order. Every gain is such a float:
+// Params.Validate admits only finite positive parameters, and distances are
+// positive (a zero distance gives +Inf, never NaN).
 type Field struct {
 	params Params
 	n      int
@@ -295,37 +303,80 @@ func (f *Field) deliverMarked(transmitters []int, listeners []int, dst []Recepti
 // rows are accumulated into per-listener totals/maxima (in transmitter
 // order, matching the per-listener scan's float summation and first-wins
 // argmax exactly), then the β threshold is applied in listener order. The
-// caller has already marked isTx. The stop hook is polled once per
-// transmitter row (each row is an O(n) sweep).
+// caller has already marked isTx. The stop hook is polled once per sweep
+// over the listeners (each sweep is O(n)).
+//
+// The first row initialises the accumulators. The rows after it are taken
+// txBlock at a time, so tot, best and bestV are loaded and stored once per
+// block instead of once per row. Per listener, the block's gains g0..g3 are
+// read from its four rows and added as tot[u] + g0 + g1 + g2 + g3. Go
+// evaluates that left to right, so the rounded total is the one four
+// separate sweeps produce, term for term; grouping the block's gains first
+// would change it. The running best then takes four strict > steps on bit
+// patterns (see Field), in registers and with conditional moves, in
+// transmitter order, so the first of equal gains still wins. The 1–3 rows
+// left over take the single-row sweep, which branches: a branch-free single
+// row, storing all three arrays for every pair, measured slower than the
+// branchy one (BenchmarkDeliver/dense n=2048, min of 6: 0.77 → 1.15 ms).
 func (f *Field) deliverTransposed(transmitters []int, listeners []int, dst []Reception) ([]Reception, error) {
+	n := f.n
 	if f.accTot == nil {
-		f.accTot = make([]float64, f.n)
-		f.accBest = make([]float64, f.n)
-		f.accBestV = make([]int32, f.n)
+		f.accTot = make([]float64, n)
+		f.accBest = make([]float64, n)
+		f.accBestV = make([]int32, n)
 	}
-	tot, best, bestV := f.accTot, f.accBest, f.accBestV
-	for t, v := range transmitters {
+	tot, best, bestV := f.accTot[:n], f.accBest[:n], f.accBestV[:n]
+	if f.stop != nil {
+		if err := f.stop(); err != nil {
+			return dst, err
+		}
+	}
+	// The first transmitter initialises the accumulators, so no clearing
+	// pass is needed between rounds.
+	row, v32 := f.gain[transmitters[0]][:n], int32(transmitters[0])
+	for u, g := range row {
+		tot[u] = g
+		best[u] = g
+		bestV[u] = v32
+	}
+	t := 1
+	for ; t+txBlock <= len(transmitters); t += txBlock {
 		if f.stop != nil {
 			if err := f.stop(); err != nil {
 				return dst, err
 			}
 		}
-		row := f.gain[v]
-		if t == 0 {
-			// First transmitter initialises the accumulators — no clearing
-			// pass is needed between rounds.
-			v32 := int32(v)
-			for u := 0; u < f.n; u++ {
-				g := row[u]
-				tot[u] = g
-				best[u] = g
-				bestV[u] = v32
+		blk := transmitters[t : t+txBlock]
+		r0, r1, r2, r3 := f.gain[blk[0]][:n], f.gain[blk[1]][:n], f.gain[blk[2]][:n], f.gain[blk[3]][:n]
+		v0, v1, v2, v3 := int32(blk[0]), int32(blk[1]), int32(blk[2]), int32(blk[3])
+		for u := range n {
+			g0, g1, g2, g3 := r0[u], r1[u], r2[u], r3[u]
+			tot[u] = tot[u] + g0 + g1 + g2 + g3
+			bb, bv := math.Float64bits(best[u]), bestV[u]
+			if b := math.Float64bits(g0); b > bb {
+				bb, bv = b, v0
 			}
-			continue
+			if b := math.Float64bits(g1); b > bb {
+				bb, bv = b, v1
+			}
+			if b := math.Float64bits(g2); b > bb {
+				bb, bv = b, v2
+			}
+			if b := math.Float64bits(g3); b > bb {
+				bb, bv = b, v3
+			}
+			best[u] = math.Float64frombits(bb)
+			bestV[u] = bv
 		}
-		v32 := int32(v)
-		for u := 0; u < f.n; u++ {
-			g := row[u]
+	}
+	for _, v := range transmitters[t:] {
+		if f.stop != nil {
+			if err := f.stop(); err != nil {
+				return dst, err
+			}
+		}
+		row, v32 := f.gain[v][:n], int32(v)
+		for u, g := range row {
 			tot[u] += g
 			if g > best[u] {
 				best[u] = g
@@ -345,7 +396,7 @@ func (f *Field) deliverTransposed(transmitters []int, listeners []int, dst []Rec
 		}
 	}
 	if listeners == nil {
-		for u := 0; u < f.n; u++ {
+		for u := 0; u < n; u++ {
 			emit(u)
 		}
 	} else {
@@ -356,27 +407,51 @@ func (f *Field) deliverTransposed(transmitters []int, listeners []int, dst []Rec
 	return dst, nil
 }
 
+// txBlock is the number of gain rows deliverTransposed folds into one sweep
+// over the listeners. The four lanes are written out in its block loop: four
+// row pointers, four sender ids, the running best and its sender nearly fill
+// amd64's general registers. Against the one-row-per-sweep loop it replaced
+// (2 vCPUs, min of 7 interleaved rounds): BenchmarkDeliverTx/dense n=256
+// txs=32 12.0 → 8.9 µs, n=1024 txs=16 26.2 → 18.8 µs; BenchmarkDeliver/dense
+// n=2048 0.75 → 0.63 ms.
+const txBlock = 4
+
 // decide resolves listener u for one round: the winning sender, if any.
 // The gain matrix is symmetric (geometric fields compute each pair once and
 // mirror it; distance matrices are checked symmetric on construction), so
 // u's incoming gains are read from row u — sequential memory — instead of
 // one column element per transmitter row.
+//
+// The running best is kept as its IEEE bit pattern. Gains are ≥ 0 and never
+// NaN, and for such floats the unsigned order of the bit patterns is the
+// value order (see Field). So the strict > on bits is the strict > on gains,
+// the first transmitter still wins an exact tie, and the update compiles to
+// conditional moves: with a few transmitters in random order the running
+// maximum changes at unpredictable points, which a branch mispredicts.
+//
+// It returns the strongest transmitter (the first on a tie; -1 when no gain
+// is positive) and whether u receives it. decide is kept out of line: inlined
+// into deliverMarked's listener loop, the running best and the loop index
+// were spilled to the stack, and cluster-disk-256 ran about 2% slower. The
+// call costs one-transmitter rounds, where the old branch never mispredicted:
+// the BenchmarkDeliverTx/dense txs=1 rows read 4–16% slower than the inlined
+// branchy scan, on rounds that take about 1% of a benchmark run.
+//
+//go:noinline
 func (f *Field) decide(u int, transmitters []int) (int, bool) {
-	var total, best float64
+	var total float64
+	var bb uint64 // bits of the best gain so far; 0 is the bits of +0
 	bestV := -1
 	row := f.gain[u]
 	for _, v := range transmitters {
 		g := row[v]
 		total += g
-		if g > best {
-			best = g
-			bestV = v
+		if gb := math.Float64bits(g); gb > bb {
+			bb, bestV = gb, v
 		}
 	}
-	if bestV >= 0 && best >= f.params.Beta*(f.params.Noise+total-best) {
-		return bestV, true
-	}
-	return -1, false
+	best := math.Float64frombits(bb)
+	return bestV, best >= f.params.Beta*(f.params.Noise+total-best)
 }
 
 // txScratch returns a reusable all-false scratch bitmap of size n.

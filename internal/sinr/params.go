@@ -6,6 +6,7 @@ package sinr
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Params are the SINR model parameters known to every node (§1.1):
@@ -26,8 +27,19 @@ func DefaultParams() Params {
 	return Params{Alpha: 3, Beta: 2, Noise: 1, Power: 2, Eps: 0.25}
 }
 
-// Validate checks the model constraints from §1.1.
+// Validate checks the model constraints from §1.1. Every parameter must be
+// finite: a NaN would slip through the range tests below (every comparison
+// with NaN is false), and a non-finite parameter can make gains NaN, which
+// the engines' argmax over gain bit patterns does not admit.
 func (p Params) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"path loss α", p.Alpha}, {"threshold β", p.Beta}, {"noise", p.Noise}, {"power", p.Power}, {"ε", p.Eps}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("sinr: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	switch {
 	case p.Alpha <= 2:
 		return fmt.Errorf("sinr: path loss α must be > 2, got %v", p.Alpha)

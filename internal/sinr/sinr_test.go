@@ -1,6 +1,7 @@
 package sinr
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,33 @@ func TestParamsValidate(t *testing.T) {
 				t.Errorf("Validate() err = %v, wantErr %v", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// TestParamsValidateNonFinite rejects every non-finite parameter. NaN fails
+// every range comparison, so each field needs an explicit finiteness check;
+// +Inf passes the lower-bound tests of α, β, noise and power.
+func TestParamsValidateNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		ptr  func(*Params) *float64
+	}{
+		{"Alpha", func(p *Params) *float64 { return &p.Alpha }},
+		{"Beta", func(p *Params) *float64 { return &p.Beta }},
+		{"Noise", func(p *Params) *float64 { return &p.Noise }},
+		{"Power", func(p *Params) *float64 { return &p.Power }},
+		{"Eps", func(p *Params) *float64 { return &p.Eps }},
+	}
+	for _, fld := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s=%v", fld.name, v), func(t *testing.T) {
+				p := DefaultParams()
+				*fld.ptr(&p) = v
+				if err := p.Validate(); err == nil {
+					t.Errorf("Validate(%+v) = nil, want an error", p)
+				}
+			})
+		}
 	}
 }
 
