@@ -242,35 +242,39 @@ func BenchmarkGlobalBroadcastStrip(b *testing.B) {
 // BenchmarkRunFaulted measures a faulted execution end to end: local
 // broadcast on four dense clumps with 5% reception drops, dense engine.
 // Faulted rounds share the reception memo with the faults applied per
-// round on top, so this row tracks the memo-plus-filter path that a
-// fault-free run never takes; it backs the bench_check small-n tier.
+// round on top, so these rows track the memo-plus-filter path that a
+// fault-free run never takes; they back the bench_check small-n tier. The
+// n=256 row has the clump size (64 nodes) of the local-clumps-256-drop
+// benchmark workload, where the SNS sweeps' duplicate deliveries show.
 func BenchmarkRunFaulted(b *testing.B) {
-	var pts []Point
-	for c := range 4 {
-		for _, p := range GaussianClusters(16, 1, 0, 0.3, int64(c)) {
-			pts = append(pts, Pt(p.X+16*float64(c), p.Y))
-		}
-	}
 	spec, err := ParseFaultSpec("seed=1;drop=0.05")
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := NewNetwork(pts, WithEngine(EngineDense))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run(fmt.Sprintf("n=%d/drop=0.05", len(pts)), func(b *testing.B) {
-		b.ReportAllocs()
-		var rounds int64
-		for i := 0; i < b.N; i++ {
-			res, err := net.Run(context.Background(), LocalBroadcast(), WithFaults(spec))
-			if err != nil {
-				b.Fatal(err)
+	for _, clump := range []int{16, 64} {
+		var pts []Point
+		for c := range 4 {
+			for _, p := range GaussianClusters(clump, 1, 0, 0.3, int64(c)) {
+				pts = append(pts, Pt(p.X+16*float64(c), p.Y))
 			}
-			rounds = res.Stats.Rounds
 		}
-		b.ReportMetric(float64(rounds), "rounds")
-	})
+		net, err := NewNetwork(pts, WithEngine(EngineDense))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d/drop=0.05", len(pts)), func(b *testing.B) {
+			b.ReportAllocs()
+			var rounds int64
+			for i := 0; i < b.N; i++ {
+				res, err := net.Run(context.Background(), LocalBroadcast(), WithFaults(spec))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds = res.Stats.Rounds
+			}
+			b.ReportMetric(float64(rounds), "rounds")
+		})
+	}
 }
 
 // BenchmarkFig2Proximity measures one proximity-graph construction (E4).
@@ -494,10 +498,12 @@ func BenchmarkClustering(b *testing.B) {
 // BenchmarkAlgorithmSteadyState measures the steady-state per-pass cost of
 // the flattened algorithm layer: one warmed Sparse Network Schedule pass —
 // schedule lists derived, buckets prepared, receptions memoized — over a
-// fixed active set. After the warm-up pass, the whole pass (schedule
-// execution, reception memo hits, delivery accumulation) must run
+// fixed active set, taken through the accumulating SNS.Run. After the
+// warm-up pass, the whole pass (schedule execution, reception memo hits,
+// delivery accumulation into the environment's pass buffer) must run
 // allocation-free; the allocs/op column is gated at 0 by
-// scripts/bench_check.sh (see also TestAlgorithmSteadyStateZeroAllocs).
+// scripts/bench_check.sh. TestAlgorithmSteadyStateZeroAllocs pins the same
+// for Run and for the streaming SNS.Pass the per-delivery callers take.
 func BenchmarkAlgorithmSteadyState(b *testing.B) {
 	pts := benchDisk(48, 8)
 	env := benchEnv(b, pts)
@@ -516,7 +522,8 @@ func BenchmarkAlgorithmSteadyState(b *testing.B) {
 }
 
 // TestAlgorithmSteadyStateZeroAllocs pins the BenchmarkAlgorithmSteadyState
-// invariant in the plain test suite: a warmed SNS pass is allocation-free.
+// invariant in the plain test suite: a warmed SNS pass is allocation-free,
+// accumulated by Run or streamed by Pass into a sink.
 func TestAlgorithmSteadyStateZeroAllocs(t *testing.T) {
 	pts := benchDisk(48, 8)
 	f, err := sinr.NewField(sinr.DefaultParams(), pts)
@@ -533,6 +540,15 @@ func TestAlgorithmSteadyStateZeroAllocs(t *testing.T) {
 	sns.Run(env, nodes, msg, nodes) // warm-up pass
 	if avg := testing.AllocsPerRun(50, func() { sns.Run(env, nodes, msg, nodes) }); avg != 0 {
 		t.Errorf("warmed SNS pass allocates %.1f objects per pass in steady state, want 0", avg)
+	}
+	deliveries := 0
+	count := func(_ int, ds []sim.Delivery) { deliveries += len(ds) }
+	sns.Pass(env, nodes, msg, nodes, count) // warm-up pass
+	if deliveries == 0 {
+		t.Fatal("warm-up streaming pass delivered nothing")
+	}
+	if avg := testing.AllocsPerRun(50, func() { sns.Pass(env, nodes, msg, nodes, count) }); avg != 0 {
+		t.Errorf("warmed streaming SNS pass allocates %.1f objects per pass in steady state, want 0", avg)
 	}
 }
 

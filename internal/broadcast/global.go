@@ -101,16 +101,10 @@ func Global(env *sim.Env, in GlobalInput) (*GlobalResult, error) {
 		return sim.Msg{Kind: sim.KindBroadcast, From: int32(env.IDs[v]), Cluster: int32(env.IDs[v])}
 	}
 	var level []int
-	for _, d := range sns.Run(env, in.Sources, srcMsg, nil) {
-		u := d.Receiver
-		if d.Msg.Kind != sim.KindBroadcast || res.AwakeAtPhase[u] >= 0 {
-			continue
-		}
-		res.AwakeAtPhase[u] = 0
-		res.AwakeRound[u] = env.Rounds()
-		asg.ClusterOf[u] = d.Msg.Cluster
-		level = append(level, u)
-	}
+	sns.Pass(env, in.Sources, srcMsg, nil, func(_ int, ds []sim.Delivery) {
+		level = wake(ds, asg, res, 0, level)
+	})
+	stampAwake(env, res, level)
 	// Sources themselves belong to L1: they too must locally broadcast.
 	level = append(level, in.Sources...)
 	awake := countAwake(res) // kept current per phase: each wakes exactly next
@@ -192,6 +186,7 @@ func wakeSweeps(
 		return sim.Msg{Kind: sim.KindBroadcast, From: int32(env.IDs[v]), Cluster: asg.ClusterOf[v]}
 	}
 	var next []int
+	sink := func(_ int, ds []sim.Delivery) { next = wake(ds, asg, res, phase, next) }
 	group := make([]int, 0, len(level))
 	for l := int32(1); l <= maxLabel; l++ {
 		group = group[:0]
@@ -200,18 +195,39 @@ func wakeSweeps(
 				group = append(group, v)
 			}
 		}
-		for _, d := range sns.Run(env, group, payload, nil) {
-			u := d.Receiver
-			if d.Msg.Kind != sim.KindBroadcast || res.AwakeAtPhase[u] >= 0 {
-				continue
-			}
-			res.AwakeAtPhase[u] = phase
-			res.AwakeRound[u] = env.Rounds()
-			asg.ClusterOf[u] = d.Msg.Cluster // inherit awakener's cluster
-			next = append(next, u)
-		}
+		woken := len(next)
+		sns.Pass(env, group, payload, nil, sink)
+		stampAwake(env, res, next[woken:])
 	}
 	return next, nil
+}
+
+// wake handles one round of a wake-up pass: every asleep receiver of a
+// broadcast wakes at phase, inherits its awakener's cluster and is appended
+// to woken. The woken nodes never transmit in the pass that wakes them, so
+// the cluster they take cannot change a message of the pass. Their
+// AwakeRound is the round the pass ends in, which stampAwake sets once the
+// pass returns.
+func wake(ds []sim.Delivery, asg *core.Assignment, res *GlobalResult, phase int, woken []int) []int {
+	for i := range ds {
+		d := &ds[i]
+		u := d.Receiver
+		if d.Msg.Kind != sim.KindBroadcast || res.AwakeAtPhase[u] >= 0 {
+			continue
+		}
+		res.AwakeAtPhase[u] = phase
+		asg.ClusterOf[u] = d.Msg.Cluster
+		woken = append(woken, u)
+	}
+	return woken
+}
+
+// stampAwake sets the awake round of the nodes a pass woke to the round
+// the pass ended in.
+func stampAwake(env *sim.Env, res *GlobalResult, woken []int) {
+	for _, u := range woken {
+		res.AwakeRound[u] = env.Rounds()
+	}
 }
 
 func countAwake(res *GlobalResult) int {

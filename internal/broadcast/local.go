@@ -111,8 +111,14 @@ func labelClustered(env *sim.Env, cfg config.Config, nodes []int, asg *core.Assi
 
 // snsSweeps executes one SNS pass per label value 1..maxLabel; nodes with
 // label l transmit their payload in sweep l. listeners bounds reception
-// bookkeeping (nil = everyone, used by the global broadcast's wake-ups).
-// Returns, per receiver, the set of senders heard.
+// bookkeeping (nil = everyone). Returns, per receiver, the set of senders
+// heard.
+//
+// Every participant transmits in many rounds of its sweep, so each
+// (receiver, sender) pair arrives many times over (about 45 times on four
+// clumps of density 64). The passes stream into heardPairs, which keeps each
+// pair once without a map operation per delivery; Heard is built from the
+// distinct pairs at the end, each receiver's map presized.
 func snsSweeps(env *sim.Env, sns *comm.SNS, nodes []int, label []int32, listeners []int) (map[int]map[int]bool, error) {
 	maxLabel := int32(0)
 	for _, v := range nodes {
@@ -120,9 +126,16 @@ func snsSweeps(env *sim.Env, sns *comm.SNS, nodes []int, label []int32, listener
 			maxLabel = label[v]
 		}
 	}
-	heard := map[int]map[int]bool{}
 	payload := func(v int) sim.Msg {
 		return sim.Msg{Kind: sim.KindSNS, From: int32(env.IDs[v])}
+	}
+	hp := newHeardPairs(env.F.N())
+	sink := func(_ int, ds []sim.Delivery) {
+		for i := range ds {
+			if d := &ds[i]; d.Msg.Kind == sim.KindSNS {
+				hp.add(d.Receiver, d.Sender)
+			}
+		}
 	}
 	group := make([]int, 0, len(nodes))
 	for l := int32(1); l <= maxLabel; l++ {
@@ -132,17 +145,74 @@ func snsSweeps(env *sim.Env, sns *comm.SNS, nodes []int, label []int32, listener
 				group = append(group, v)
 			}
 		}
-		for _, d := range sns.Run(env, group, payload, listeners) {
-			if d.Msg.Kind != sim.KindSNS {
-				continue
-			}
-			if heard[d.Receiver] == nil {
-				heard[d.Receiver] = map[int]bool{}
-			}
-			heard[d.Receiver][d.Sender] = true
+		hp.gen = l
+		sns.Pass(env, group, payload, listeners, sink)
+	}
+	return hp.heard(), nil
+}
+
+// heardPairs collects the distinct (receiver, sender) pairs of a run of
+// sweeps. Each node has one label, so the sender sets of different sweeps
+// are disjoint and a pair can repeat only within one sweep. Per receiver,
+// the senders heard in the current sweep gen form a chain through pairs,
+// from head[u]; stamp[u] == gen marks head[u] as belonging to this sweep,
+// so a new sweep starts every chain empty without clearing anything. A
+// chain holds the senders one receiver hears in one sweep, a handful at
+// constant density, so the duplicate check walks a few entries.
+type heardPairs struct {
+	gen         int32
+	head, stamp []int32
+	pairs       []heardPair
+}
+
+type heardPair struct {
+	u, v, next int32
+}
+
+func newHeardPairs(n int) *heardPairs {
+	return &heardPairs{head: make([]int32, n), stamp: make([]int32, n)}
+}
+
+// add records that receiver u heard sender v in the current sweep.
+func (h *heardPairs) add(u, v int) {
+	i := int32(-1)
+	if h.stamp[u] == h.gen {
+		i = h.head[u]
+	} else {
+		h.stamp[u] = h.gen
+	}
+	first := i
+	for ; i >= 0; i = h.pairs[i].next {
+		if h.pairs[i].v == int32(v) {
+			return
 		}
 	}
-	return heard, nil
+	h.head[u] = int32(len(h.pairs))
+	h.pairs = append(h.pairs, heardPair{u: int32(u), v: int32(v), next: first})
+}
+
+// heard builds the per-receiver sender sets, each map allocated once at
+// its final size.
+func (h *heardPairs) heard() map[int]map[int]bool {
+	count := h.head // the chains are no longer needed
+	clear(count)
+	receivers := 0
+	for _, p := range h.pairs {
+		if count[p.u] == 0 {
+			receivers++
+		}
+		count[p.u]++
+	}
+	heard := make(map[int]map[int]bool, receivers)
+	for _, p := range h.pairs {
+		m := heard[int(p.u)]
+		if m == nil {
+			m = make(map[int]bool, count[p.u])
+			heard[int(p.u)] = m
+		}
+		m[int(p.v)] = true
+	}
+	return heard
 }
 
 // newSNSForTest exposes SNS construction to the package tests.

@@ -104,27 +104,38 @@ func SharedWCSS(env *sim.Env, cfg config.Config) (*selectors.WCSS, *EventLists, 
 // Len returns the schedule length.
 func (s *SNS) Len() int { return s.sel.Len() }
 
-// Run executes one full pass of the schedule. Every node in active
+// Pass executes one full pass of the schedule. Every node in active
 // transmits msgOf(node) in the rounds its ID is scheduled; listeners
-// restricts reception bookkeeping (nil = everyone). All deliveries across
-// the pass are returned in round order; silent rounds are fast-forwarded.
-//
-// The returned slice is backed by the environment's shared pass buffer
-// (Env.PassBuf), reused by the next pass on the same environment; callers
-// consume a pass's deliveries before starting another pass (every caller in
-// this repository does).
-func (s *SNS) Run(env *sim.Env, active []int, msgOf func(node int) sim.Msg, listeners []int) []sim.Delivery {
+// restricts reception bookkeeping (nil = everyone). sink receives each
+// non-silent round's schedule index and deliveries, valid only during the
+// call (like Env.Step results), in round order; silent rounds are
+// fast-forwarded. Callers that consume deliveries one at a time take the
+// pass this way, so no delivery is copied into a pass buffer.
+func (s *SNS) Pass(env *sim.Env, active []int, msgOf func(node int) sim.Msg, listeners []int, sink func(round int, ds []sim.Delivery)) {
 	s.ids = s.ids[:0]
 	s.clusters = s.clusters[:0]
 	for _, v := range active {
 		s.ids = append(s.ids, env.IDs[v])
 		s.clusters = append(s.clusters, 1)
 	}
+	s.ev.Pass(env, active, s.ids, s.clusters, msgOf, listeners, nil, sink)
+}
+
+// Run is Pass with the deliveries accumulated: all deliveries across the
+// pass are returned in round order. Only callers that need the whole pass
+// at once use it: the MIS exchange, whose transport returns one pass's
+// deliveries, and tests.
+//
+// The returned slice is backed by the environment's shared pass buffer
+// (Env.PassBuf), reused by the next pass on the same environment; callers
+// consume a pass's deliveries before starting another pass (every caller in
+// this repository does).
+func (s *SNS) Run(env *sim.Env, active []int, msgOf func(node int) sim.Msg, listeners []int) []sim.Delivery {
 	if s.sink == nil {
 		s.sink = func(_ int, ds []sim.Delivery) { s.all = sim.AppendPass(s.all, ds) }
 	}
 	s.all = env.PassBuf()
-	s.ev.Pass(env, active, s.ids, s.clusters, msgOf, listeners, nil, s.sink)
+	s.Pass(env, active, msgOf, listeners, s.sink)
 	all := s.all
 	s.all = nil
 	env.SetPassBuf(all)

@@ -219,15 +219,18 @@ func reduceIteration(
 	for _, v := range x {
 		sc.inX.Set(v)
 	}
-	for _, del := range sns.Run(env, sc.d, centreMsg, x) {
-		u := del.Receiver
-		if del.Msg.Kind != sim.KindClusterID || sc.assigned.Has(u) || !sc.inX.Has(u) {
-			continue
+	sns.Pass(env, sc.d, centreMsg, x, func(_ int, ds []sim.Delivery) {
+		for i := range ds {
+			del := &ds[i]
+			u := del.Receiver
+			if del.Msg.Kind != sim.KindClusterID || sc.assigned.Has(u) || !sc.inX.Has(u) {
+				continue
+			}
+			out.ClusterOf[u] = del.Msg.Cluster
+			work[u] = del.Msg.Cluster
+			sc.assigned.Set(u)
 		}
-		out.ClusterOf[u] = del.Msg.Cluster
-		work[u] = del.Msg.Cluster
-		sc.assigned.Set(u)
-	}
+	})
 	return nil
 }
 
@@ -244,11 +247,13 @@ func runHello(env *sim.Env, sns *comm.SNS, nodes []int, sc *rrScratch) {
 		sc.member.Set(v)
 	}
 	sc.heardB.Reset(n)
-	for _, d := range sns.Run(env, nodes, hello, nodes) {
-		if d.Msg.Kind == sim.KindHello && sc.member.Has(d.Receiver) && sc.member.Has(d.Sender) {
-			sc.heardB.Add(d.Receiver, d.Sender)
+	sns.Pass(env, nodes, hello, nodes, func(_ int, ds []sim.Delivery) {
+		for i := range ds {
+			if d := &ds[i]; d.Msg.Kind == sim.KindHello && sc.member.Has(d.Receiver) && sc.member.Has(d.Sender) {
+				sc.heardB.Add(d.Receiver, d.Sender)
+			}
 		}
-	}
+	})
 	sc.heardB.Build(&sc.heard, true)
 }
 
@@ -298,20 +303,23 @@ func mutualAdjacency(env *sim.Env, sns *comm.SNS, nodes []int, sc *rrScratch) {
 		return m
 	}
 	sc.adjB.Reset(n)
-	for _, d := range sns.Run(env, nodes, lists, nodes) {
-		if d.Msg.Kind != sim.KindHeard || !sc.member.Has(d.Receiver) || !sc.member.Has(d.Sender) {
-			continue
-		}
-		u, v := d.Receiver, d.Sender
-		if sc.heard.EdgeIndex(u, v) < 0 {
-			continue
-		}
-		for _, idU := range d.Msg.List {
-			if int(idU) == env.IDs[u] {
-				sc.adjB.Add(u, v)
-				sc.adjB.Add(v, u)
+	sns.Pass(env, nodes, lists, nodes, func(_ int, ds []sim.Delivery) {
+		for i := range ds {
+			d := &ds[i]
+			if d.Msg.Kind != sim.KindHeard || !sc.member.Has(d.Receiver) || !sc.member.Has(d.Sender) {
+				continue
+			}
+			u, v := d.Receiver, d.Sender
+			if sc.heard.EdgeIndex(u, v) < 0 {
+				continue
+			}
+			for _, idU := range d.Msg.List {
+				if int(idU) == env.IDs[u] {
+					sc.adjB.Add(u, v)
+					sc.adjB.Add(v, u)
+				}
 			}
 		}
-	}
+	})
 	sc.adjB.Build(&sc.adj, true)
 }

@@ -26,15 +26,17 @@ import (
 type Engine struct {
 	inner sinr.Engine
 	spec  *Spec
+	keys  []dropKey // spec.dropKeys(), shared with the sessions
 	round int64
 	recs  []sinr.Reception // inner Deliver scratch
 	coins []dropCoin       // the Filter round's drop coins
 }
 
 // Wrap decorates inner with the spec's engine-level faults. The spec must
-// outlive the engine; the Run layer passes a private clone.
+// outlive the engine and stay unchanged; the Run layer passes a private
+// clone.
 func Wrap(inner sinr.Engine, spec *Spec) *Engine {
-	return &Engine{inner: inner, spec: spec}
+	return &Engine{inner: inner, spec: spec, keys: spec.dropKeys()}
 }
 
 // Unwrap implements sinr.RoundFilter: the decorated engine.
@@ -69,7 +71,7 @@ func (e *Engine) CommGraph() [][]int { return e.inner.CommGraph() }
 // Session implements sinr.Engine: a decorated view over a fresh inner
 // session, sharing the spec.
 func (e *Engine) Session() sinr.Engine {
-	return &Engine{inner: e.inner.Session(), spec: e.spec}
+	return &Engine{inner: e.inner.Session(), spec: e.spec, keys: e.keys}
 }
 
 // Deliver implements sinr.Engine: the inner engine's receptions minus
@@ -88,7 +90,7 @@ func (e *Engine) Filter(round int64, transmitters []int, recs, dst []sinr.Recept
 	e.round = round
 	noiseF := e.spec.noiseFactorAt(round)
 	jamming := e.spec.jammingAt(round)
-	coins, all := e.spec.dropCoins(round, e.coins[:0])
+	coins, all := e.spec.dropCoins(round, e.keys, e.coins[:0])
 	e.coins = coins
 	if all {
 		return dst

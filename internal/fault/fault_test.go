@@ -189,8 +189,9 @@ func TestDropCoinsHoisted(t *testing.T) {
 		{P: 1, Window: Window{From: 45, To: 50}},
 	}}
 	dropped := 0
+	keys := s.dropKeys()
 	for r := int64(1); r <= 70; r++ {
-		coins, all := s.dropCoins(r, nil)
+		coins, all := s.dropCoins(r, keys, nil)
 		for snd := 0; snd < 12; snd++ {
 			for rcv := 0; rcv < 12; rcv++ {
 				want := s.keep(r, snd, rcv)
@@ -206,6 +207,41 @@ func TestDropCoinsHoisted(t *testing.T) {
 	// 5 rounds drop everything; the P=0.05 windows drop a few more.
 	if dropped <= 5*144 {
 		t.Errorf("only %d receptions dropped", dropped)
+	}
+}
+
+// TestDropBelowMatchesFloat pins kept's integer coin test, k < ⌈p·2⁵³⌉,
+// to keep's float one, k·2⁻⁵³ < p, for 53-bit coins k: random k and the k
+// at and around the threshold, for p = 0.05, a p with p·2⁵³ integral (the
+// threshold itself must keep), p just above 0 and p just below 1.
+func TestDropBelowMatchesFloat(t *testing.T) {
+	const two53 = 1 << 53
+	for _, p := range []float64{
+		0.05,
+		0.375,           // p·2⁵³ = 3·2⁵⁰, an integer
+		12345.0 / two53, // p·2⁵³ = 12345
+		math.Nextafter(0, 1),
+		1e-300,
+		math.Nextafter(1, 0),
+	} {
+		below := dropBelow(p)
+		ks := []uint64{0, 1, two53 - 1}
+		if below > 0 {
+			ks = append(ks, below-1, below)
+		}
+		if below+1 < two53 {
+			ks = append(ks, below+1)
+		}
+		x := uint64(p * 1e6)
+		for range 10000 {
+			x = mix64(x)
+			ks = append(ks, x>>11)
+		}
+		for _, k := range ks {
+			if got, want := k < below, float64(k)*(1.0/two53) < p; got != want {
+				t.Fatalf("p=%v (below %d), k=%d: integer test %v, float test %v", p, below, k, got, want)
+			}
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dcluster/internal/geom"
@@ -230,18 +231,46 @@ func (s *Spec) keep(r int64, sender, receiver int) bool {
 	return true
 }
 
+// dropKey is the part of one drop window's coin that no round changes:
+// key is keep's hash of (seed, window), and keep holds for a coin whose 53
+// bits are at least below = ⌈P·2⁵³⌉. That integer test is exactly keep's
+// float one: for an integer k < 2⁵³, k·2⁻⁵³ is exact, and k·2⁻⁵³ < P ⇔
+// k < P·2⁵³ ⇔ k < ⌈P·2⁵³⌉ (P·2⁵³ itself is exact, a power-of-two scaling).
+type dropKey struct {
+	key, below uint64
+}
+
+// dropKeys returns the dropKey of every drop window, in window order; the
+// engine computes them once, so a round's coins cost one mix64 each.
+func (s *Spec) dropKeys() []dropKey {
+	keys := make([]dropKey, len(s.Drops))
+	for i, d := range s.Drops {
+		keys[i] = dropKey{key: mix64(s.Seed ^ mix64(uint64(i)+0x51ed2701)), below: dropBelow(d.P)}
+	}
+	return keys
+}
+
+// dropBelow is ⌈p·2⁵³⌉, the integer form of keep's threshold p. Only
+// windows with 0 < p < 1 flip coins, for which it lies in [1, 2⁵³].
+func dropBelow(p float64) uint64 {
+	if p <= 0 || p >= 1 {
+		return 0
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
 // dropCoin is one drop window's coin for a fixed round: prefix is the part
 // of keep's hash that depends only on (seed, window, round).
 type dropCoin struct {
-	prefix uint64
-	p      float64
+	prefix, below uint64
 }
 
 // dropCoins appends to dst the coin of every drop window active in round r
 // with 0 < P < 1, so that each reception of the round costs one mix64 per
-// window (see kept) instead of keep's four. all reports that an active
-// window has P ≥ 1, which drops every reception of the round.
-func (s *Spec) dropCoins(r int64, dst []dropCoin) (coins []dropCoin, all bool) {
+// window (see kept) instead of keep's four. keys are the spec's dropKeys.
+// all reports that an active window has P ≥ 1, which drops every reception
+// of the round.
+func (s *Spec) dropCoins(r int64, keys []dropKey, dst []dropCoin) (coins []dropCoin, all bool) {
 	for i, d := range s.Drops {
 		if !d.Active(r) || d.P <= 0 {
 			continue
@@ -249,8 +278,7 @@ func (s *Spec) dropCoins(r int64, dst []dropCoin) (coins []dropCoin, all bool) {
 		if d.P >= 1 {
 			return dst, true
 		}
-		h := mix64(s.Seed ^ mix64(uint64(i)+0x51ed2701))
-		dst = append(dst, dropCoin{prefix: mix64(h ^ uint64(r)), p: d.P})
+		dst = append(dst, dropCoin{prefix: mix64(keys[i].key ^ uint64(r)), below: keys[i].below})
 	}
 	return dst, false
 }
@@ -260,7 +288,7 @@ func (s *Spec) dropCoins(r int64, dst []dropCoin) (coins []dropCoin, all bool) {
 func kept(coins []dropCoin, sender, receiver int) bool {
 	pair := uint64(uint32(sender))<<32 | uint64(uint32(receiver))
 	for _, c := range coins {
-		if float64(mix64(c.prefix^pair)>>11)*(1.0/(1<<53)) < c.p {
+		if mix64(c.prefix^pair)>>11 < c.below {
 			return false
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"dcluster/internal/sinr"
 )
@@ -369,26 +370,31 @@ func (e *Env) accountTx(txs []int) bool {
 // (computed live or recalled from the memo), turns the survivors into
 // deliveries in the pooled result buffer, and accounts the round: delivery
 // statistics, the observer callback and the stall watchdog. Each sender
-// with a surviving reception has its message built and validated once per
-// round, at its first reception, and every reception copies it from the
-// round's message table.
+// with a surviving reception has its message built straight into the
+// round's message table and validated once per round, at its first
+// reception, and every reception copies it from there.
+//
+// The buffer is sized to the surviving receptions up front and each
+// delivery's fields are stored in place: appending a composite literal
+// built it in a stack temporary first and then copied the 64 bytes over.
 func (e *Env) deliver(txs []int, recs []sinr.Reception, msgOf func(node int) Msg) []Delivery {
 	recs = e.applyFaults(txs, recs)
 	if e.msgs == nil && len(recs) > 0 {
 		e.msgs = make([]Msg, len(e.IDs))
 		e.msgRound = make([]int64, len(e.IDs))
 	}
-	out := e.delBuf[:0]
-	for _, r := range recs {
+	out := slices.Grow(e.delBuf[:0], len(recs))[:len(recs)]
+	for i, r := range recs {
 		v := r.Sender
 		if e.msgRound[v] != e.rounds {
-			m := msgOf(v)
-			if err := m.Validate(); err != nil {
+			e.msgs[v] = msgOf(v)
+			if err := e.msgs[v].Validate(); err != nil {
 				panic(err) // programming error: oversized message
 			}
-			e.msgs[v], e.msgRound[v] = m, e.rounds
+			e.msgRound[v] = e.rounds
 		}
-		out = append(out, Delivery{Receiver: r.Receiver, Sender: v, Msg: e.msgs[v]})
+		d := &out[i]
+		d.Receiver, d.Sender, d.Msg = r.Receiver, v, e.msgs[v]
 	}
 	e.delBuf = out
 	e.stats.Deliveries += int64(len(out))
@@ -490,12 +496,15 @@ func (e *Env) NextActive(r int64) {
 }
 
 // PassBuf returns the execution's shared delivery-accumulation buffer,
-// reset to length zero. Schedule executors collect one full pass's
-// deliveries in it, so the returned slice of one pass is valid only until
-// the next pass starts on this environment; callers consume each pass's
-// deliveries before starting another (every caller in this repository
-// does). Like Step's buffer, it exists to keep the steady-state round loop
-// allocation-free.
+// reset to length zero. The accumulating pass wrappers (comm.SNS.Run and
+// proximity.Schedule.Run) collect one full pass's deliveries in it, for the
+// callers that read a pass as a whole: the MIS exchange, the proximity
+// schedule replays of sparsification, labeling and clustering, and tests. Callers that consume deliveries one
+// round at a time stream the pass instead and never touch the buffer. The
+// returned slice of one pass is valid only until the next pass starts on
+// this environment; callers consume each pass's deliveries before starting
+// another (every caller in this repository does). Like Step's buffer, it
+// exists to keep the steady-state round loop allocation-free.
 func (e *Env) PassBuf() []Delivery { return e.passBuf[:0] }
 
 // SetPassBuf stores the (possibly grown) buffer back after a pass.

@@ -279,6 +279,9 @@ func (f *Field) deliverMarked(transmitters []int, listeners []int, dst []Recepti
 			count = len(listeners)
 		}
 	}
+	if len(transmitters) == 1 {
+		return f.deliverSolo(transmitters[0], listeners, count, cs, dst)
+	}
 	for i := 0; i < count; i++ {
 		if i&stopStride == 0 && f.stop != nil {
 			if err := f.stop(); err != nil {
@@ -293,6 +296,37 @@ func (f *Field) deliverMarked(transmitters []int, listeners []int, dst []Recepti
 			continue
 		}
 		if v, ok := f.decide(u, transmitters); ok {
+			dst = append(dst, Reception{Receiver: u, Sender: v})
+		}
+	}
+	return dst, nil
+}
+
+// deliverSolo is deliverMarked's listener loop for a round with the one
+// transmitter v, without the out-of-line decide call per listener. It takes
+// decide's verdict with total = best = g: a zero gain leaves no sender in
+// decide and fails g ≥ β·N here, as β·N > 0, and any other gain is v's.
+// The requirement keeps decide's expression N + total − best term for
+// term, so it rounds the same way. The gains are read from v's row, the
+// same values as decide's column reads (the matrix is symmetric; see
+// decide), in sequential memory.
+func (f *Field) deliverSolo(v int, listeners []int, count int, cs *candScratch, dst []Reception) ([]Reception, error) {
+	beta, noise := f.params.Beta, f.params.Noise
+	row := f.gain[v]
+	for i := 0; i < count; i++ {
+		if i&stopStride == 0 && f.stop != nil {
+			if err := f.stop(); err != nil {
+				return dst, err
+			}
+		}
+		u := i
+		if listeners != nil {
+			u = listeners[i]
+		}
+		if u == v || (cs != nil && cs.skip(u)) {
+			continue
+		}
+		if g := row[u]; g >= beta*(noise+g-g) {
 			dst = append(dst, Reception{Receiver: u, Sender: v})
 		}
 	}
@@ -432,10 +466,9 @@ const txBlock = 4
 // It returns the strongest transmitter (the first on a tie; -1 when no gain
 // is positive) and whether u receives it. decide is kept out of line: inlined
 // into deliverMarked's listener loop, the running best and the loop index
-// were spilled to the stack, and cluster-disk-256 ran about 2% slower. The
-// call costs one-transmitter rounds, where the old branch never mispredicted:
-// the BenchmarkDeliverTx/dense txs=1 rows read 4–16% slower than the inlined
-// branchy scan, on rounds that take about 1% of a benchmark run.
+// were spilled to the stack, and cluster-disk-256 ran about 2% slower.
+// One-transmitter rounds, where the call per listener cost most, take
+// deliverSolo instead.
 //
 //go:noinline
 func (f *Field) decide(u int, transmitters []int) (int, bool) {

@@ -590,6 +590,11 @@ func gainFromDist2Slow(p Params, d2 float64) float64 {
 //     settle decides with best = g(d1), the nearest transmitter as sender
 //     and a tie when g(d2) == g(d1).
 //
+// A solo round skips steps 2 and 3: its total is g(d1) itself, there is no
+// second transmitter to tie or to interfere, and settle's own certNo takes
+// every "no" the nearest-pair exit would have taken (up to a knife edge of
+// the certSlack margin, which goes to exactCheck like any other).
+//
 // The result is always exactCheck's. Gains here differ from the dense
 // engine's Hypot gains by ULPs, which the certSlack margin of certNo and
 // certYes absorbs. The nearest transmitter can differ from the dense
@@ -607,7 +612,12 @@ func (f *SparseField) smallCheck(u int, txs []int) (int, bool) {
 	if d1 == 0 {
 		return f.exactCheck(u, txs)
 	}
-	best, g2 := gainFromDist2(params, d1), gainFromDist2(params, d2)
+	best := gainFromDist2(params, d1)
+	if len(txs) == 1 {
+		// A solo round: the total is best itself and nothing can tie it.
+		return f.settle(u, txs, best, best, txs[0], false)
+	}
+	g2 := gainFromDist2(params, d2)
 	if certNo(best, params.Beta*(params.Noise+g2)) {
 		return -1, false
 	}

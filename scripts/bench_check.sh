@@ -11,7 +11,8 @@
 # -benchtime=20x -count=3, plus the small-n algorithm-layer tier
 # (BenchmarkClustering at n∈{48,256} and its sparse-engine row at n=512,
 # BenchmarkTable1/ours at n∈{48,256},
-# BenchmarkGlobalBroadcastStrip at n=500, BenchmarkRunFaulted) at
+# BenchmarkGlobalBroadcastStrip at n=500, BenchmarkRunFaulted at n=64 and
+# at the local-clumps-256-drop workload's n=256) at
 # -benchtime=5x -count=3, and
 # BenchmarkAlgorithmSteadyState at -benchtime=2000x -count=3, takes the
 # per-benchmark minimum (the noise on a
